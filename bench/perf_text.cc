@@ -1,7 +1,8 @@
 /// \file perf_text.cc
 /// \brief google-benchmark microbenchmarks for the text substrate:
 /// LCS (DP vs suffix automaton), tokenization, and the similarity index's
-/// bigram prefilter.
+/// exact q-gram filter (a pair whose shorter term has length s must share
+/// a q(s)-gram, q(s) the smallest LCS length that can reach tau).
 
 #include <benchmark/benchmark.h>
 

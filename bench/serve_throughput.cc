@@ -82,7 +82,7 @@ SchemaCorpus MakeCorpus(const std::string& name) {
   if (name == "dw") return MakeDwCorpus();
   if (name == "ss") return MakeSsCorpus();
   if (name == "many") return MakeManyDomainCorpus();
-  return MakeDwSsCorpus();
+  return MakeDwSsCorpus();  // "both"; main() rejects any other name
 }
 
 Schema MakeExtraSchema(int i) {
@@ -328,6 +328,12 @@ int main(int argc, char** argv) {
     if (arg == "--corpus" && next()) {
       opts.corpus = argv[i];
       opts.corpus_set = true;
+      if (opts.corpus != "dw" && opts.corpus != "ss" && opts.corpus != "both" &&
+          opts.corpus != "many") {
+        std::cerr << "--corpus wants dw, ss, both or many (got '"
+                  << opts.corpus << "')\n";
+        return 2;
+      }
     } else if (arg == "--shards" && next()) {
       opts.shards = ParseShardCounts(argv[i]);
       if (opts.shards.empty()) {

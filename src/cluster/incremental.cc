@@ -47,13 +47,9 @@ Result<IncrementalAddResult> IncrementalClusterer::AddSchema(
         "no terms survived extraction for schema " + schema.source_name);
   }
   std::size_t unseen = 0;
-  for (const std::string& t : terms) {
-    if (vectorizer_.index().Match(t).empty()) ++unseen;
-  }
+  const DynamicBitset f = vectorizer_.VectorizeExternalTerms(terms, &unseen);
   out.unseen_term_fraction =
       static_cast<double>(unseen) / static_cast<double>(terms.size());
-
-  const DynamicBitset f = vectorizer_.VectorizeExternalTerms(terms);
 
   // s_sim against every existing schema, then s_c_sim per cluster — the
   // Algorithm 3 quantities for the newcomer.

@@ -32,11 +32,15 @@ std::vector<DynamicBitset> FeatureVectorizer::VectorizeCorpus() const {
 }
 
 DynamicBitset FeatureVectorizer::VectorizeExternalTerms(
-    const std::vector<std::string>& terms) const {
+    const std::vector<std::string>& terms, std::size_t* unmatched) const {
   DynamicBitset f(lexicon_.dim());
+  std::size_t misses = 0;
   for (const std::string& t : terms) {
-    for (std::uint32_t j : index_->Match(t)) f.Set(j);
+    const std::vector<std::uint32_t> hits = index_->Match(t);
+    if (hits.empty()) ++misses;
+    for (std::uint32_t j : hits) f.Set(j);
   }
+  if (unmatched != nullptr) *unmatched = misses;
   return f;
 }
 

@@ -8,22 +8,31 @@
 /// whether t_sim(L_j, t) >= tau_t_sim. Computing this naively is
 /// O(|L| * total terms) LCS evaluations, which is infeasible at DDH scale
 /// (2323 schemas). SimilarityIndex precomputes, for each lexicon term, the
-/// set of lexicon terms similar to it, using two sound prunes for the LCS
-/// similarity:
+/// set of lexicon terms similar to it. For the LCS similarity it evaluates
+/// only the pairs that pass two exact filters:
 ///
 ///  * a length bound — t_sim <= 2*min(l1,l2)/(l1+l2), so pairs whose length
 ///    ratio is too skewed can never reach the threshold; and
-///  * a character-bigram inverted index — whenever the threshold forces the
-///    common substring to have length >= 2, similar terms must share a
-///    bigram, so only posting-list collisions are evaluated.
+///  * a q-gram filter — a pair whose shorter term has length s qualifies
+///    only if LCS >= q(s), where q(s) is the smallest k with
+///    2k/(2s) >= threshold in the same double arithmetic as
+///    TermSimilarity::Compute. Correctly rounded division is monotone, so
+///    2*LCS/(s+l) <= 2*LCS/(2s) for every l >= s: a qualifying pair shares
+///    a common substring of length q(s), hence a q(s)-gram. Each term's
+///    grams are indexed for every q a probe of any compatible length can
+///    need, and each term (or external Match term) is probed only against
+///    the terms sharing one of its required grams.
 ///
-/// Both prunes are exact (no false negatives) under the documented
-/// conditions; when the threshold is too low for the bigram prune to be
-/// sound, the index transparently falls back to the exhaustive scan.
+/// Survivors are verified with the LCS kernel, so the neighborhoods equal
+/// the exhaustive scan bit for bit. Where the filter cannot prune — the
+/// Levenshtein and Jaro-Winkler kinds, and rows with q(s) <= 1 — the index
+/// scans every term under the length bound. The stem kind buckets by Porter
+/// stem and the exact kind looks terms up in sorted order.
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "text/term_similarity.h"
@@ -61,22 +70,37 @@ class SimilarityIndex {
   const TermSimilarity& similarity() const { return sim_; }
 
  private:
-  void BuildBigramIndex();
   void BuildNeighborhoods();
-  /// True when the bigram prune is sound for the current threshold and the
-  /// shortest term in play (any common substring must have length >= 2).
-  bool BigramPruneSound(std::size_t min_len) const;
-  /// Candidate lexicon indices sharing a bigram with \p term.
-  std::vector<std::uint32_t> BigramCandidates(std::string_view term) const;
+  /// Fills min_lcs_ and the q-gram postings (LCS kind only).
+  void BuildGramIndex();
+  /// q(s): the smallest common-substring length a pair whose shorter term
+  /// has length \p s <= the longest lexicon term needs to qualify.
+  std::size_t MinLcs(std::size_t s) const { return min_lcs_[s]; }
+  /// Appends to \p out the ids posted under any \p q -gram of \p term.
+  void AppendGramCandidates(std::string_view term, std::size_t q,
+                            std::vector<std::uint32_t>& out) const;
 
   std::vector<std::string> terms_;
   TermSimilarity sim_;
   double threshold_;
   std::size_t num_threads_ = 1;
-  std::size_t min_term_len_ = 0;
 
-  // bigram (c1*256+c2) -> sorted list of term indices containing it.
-  std::vector<std::vector<std::uint32_t>> bigram_postings_;
+  // LCS kind. min_lcs_[s] = q(s) for s up to the longest term; lengths_ the
+  // sorted distinct term lengths. The postings are in CSR form: gram_keys_
+  // holds the sorted distinct 64-bit hashes of (q, gram) — hashed by value,
+  // so copies never point into another index, and a collision only adds
+  // candidates — and gram_ids_[gram_offsets_[k] .. gram_offsets_[k + 1])
+  // the sorted ids of the terms posted under gram_keys_[k].
+  std::vector<std::size_t> min_lcs_;
+  std::vector<std::size_t> lengths_;
+  std::vector<std::uint64_t> gram_keys_;
+  std::vector<std::uint32_t> gram_offsets_;
+  std::vector<std::uint32_t> gram_ids_;
+  // Stem kind: Porter stem -> ascending ids of the terms with that stem.
+  std::unordered_map<std::string, std::vector<std::uint32_t>> stem_ids_;
+  // Exact kind: term ids in ascending (term, id) order.
+  std::vector<std::uint32_t> sorted_ids_;
+
   std::vector<std::vector<std::uint32_t>> neighbors_;
 };
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <utility>
+
 #include "text/term_similarity.h"
 #include "util/random.h"
 
@@ -73,6 +77,61 @@ TEST(FeatureVectorTest, UnknownExternalTermsSetNothing) {
   FeatureVectorizer vec(lex);
   EXPECT_TRUE(vec.VectorizeExternalTerms({"zzzzz"}).None());
   EXPECT_TRUE(vec.VectorizeExternalTerms({}).None());
+}
+
+TEST(FeatureVectorTest, RebindingCopyOutlivesItsSource) {
+  // Clone's rebinding copy owns its similarity index: once the source
+  // vectorizer and its lexicon are destroyed (and their memory reused), the
+  // copy's neighborhoods and Match results still equal the exhaustive
+  // Compute >= tau oracle, for every kind that keeps a lookup table.
+  const std::vector<std::string> words = {
+      "title",     "titles",     "author",    "authors",    "departure",
+      "departures", "departing", "rating",    "ratings",    "professor",
+      "professors", "model",     "models",    "make",       "maker"};
+  SchemaCorpus corpus;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    corpus.Add(Schema("s" + std::to_string(i), {words[i]}), {});
+  }
+  Tokenizer tok;
+  const std::vector<std::string> probes = {"titled", "authorship", "departures",
+                                           "rate",   "zzzz",       "models",
+                                           "mak",    ""};
+  const std::pair<TermSimilarityKind, double> cases[] = {
+      {TermSimilarityKind::kLcs, 0.8},
+      {TermSimilarityKind::kStem, 0.5},
+      {TermSimilarityKind::kExact, 1.0}};
+  for (const auto& [kind, tau] : cases) {
+    SCOPED_TRACE("kind=" + std::to_string(static_cast<int>(kind)));
+    FeatureVectorizerOptions opts;
+    opts.similarity_kind = kind;
+    opts.tau_t_sim = tau;
+    auto source_lex = std::make_unique<Lexicon>(Lexicon::Build(corpus, tok));
+    auto source = std::make_unique<FeatureVectorizer>(*source_lex, opts);
+    const Lexicon lex = *source_lex;
+    const FeatureVectorizer copy(lex, *source);
+    source.reset();
+    source_lex.reset();
+    const std::vector<std::string> scribble(64, std::string(24, '#'));
+
+    const TermSimilarity sim(kind);
+    for (std::uint32_t i = 0; i < lex.dim(); ++i) {
+      std::vector<std::uint32_t> expected;
+      for (std::uint32_t j = 0; j < lex.dim(); ++j) {
+        if (i == j || sim.Compute(lex.term(std::min(i, j)),
+                                  lex.term(std::max(i, j))) >= tau) {
+          expected.push_back(j);
+        }
+      }
+      EXPECT_EQ(copy.index().Neighbors(i), expected) << lex.term(i);
+    }
+    for (const std::string& p : probes) {
+      std::vector<std::uint32_t> expected;
+      for (std::uint32_t j = 0; !p.empty() && j < lex.dim(); ++j) {
+        if (sim.Compute(p, lex.term(j)) >= tau) expected.push_back(j);
+      }
+      EXPECT_EQ(copy.index().Match(p), expected) << p;
+    }
+  }
 }
 
 /// Property: the vectorizer agrees with Algorithm 1's literal definition

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -174,38 +176,139 @@ TEST(FuzzTest, ParallelClusteringMatchesSerialOnRandomCorpora) {
   }
 }
 
-TEST(FuzzTest, ParallelSimilarityIndexMatchesSerialOnRandomLexicons) {
-  // Random printable lexicons through the parallel neighborhood build:
-  // every row must match the serial build exactly.
-  for (int trial = 0; trial < 8; ++trial) {
+/// Set PAYGO_DETERMINISM_SMALL=1 to shrink the similarity-index fuzz (used
+/// by the TSan CI job).
+bool SmallMode() {
+  const char* v = std::getenv("PAYGO_DETERMINISM_SMALL");
+  return v != nullptr && std::string(v) != "0";
+}
+
+/// One random edit (substitute, insert or delete a byte) of \p term.
+std::string Mutate(Rng& rng, std::string term, const std::string& alphabet) {
+  const char c = alphabet[rng.NextBelow(alphabet.size())];
+  const std::size_t op = term.empty() ? 1 : rng.NextBelow(3);
+  const std::size_t pos = rng.NextBelow(term.size() + (op == 1 ? 1 : 0));
+  if (op == 0) {
+    term[pos] = c;
+  } else if (op == 1) {
+    term.insert(term.begin() + static_cast<std::ptrdiff_t>(pos), c);
+  } else {
+    term.erase(pos, 1);
+  }
+  return term;
+}
+
+TEST(FuzzTest, SimilarityIndexMatchesExhaustiveOracleOnRandomLexicons) {
+  // Random lexicons over small and large alphabets (small ones make long
+  // shared substrings common), thresholds on the exact 2k/(2s) boundaries
+  // of the q-gram filter, at 1.0, at 0.0, just above 1.0 and low enough
+  // that tau * min_len < 2: every row and every Match probe must equal the
+  // exhaustive Compute >= tau oracle at every thread count.
+  const std::vector<std::string> alphabets = {
+      "ab", "acgt", "abcdefghijklmnopqrstuvwxyz",
+      std::string("ab0123456789") + "\x80\x9f\xc3\xe9\xff"};
+  const TermSimilarityKind other_kinds[] = {
+      TermSimilarityKind::kStem, TermSimilarityKind::kExact,
+      TermSimilarityKind::kLevenshtein, TermSimilarityKind::kJaroWinkler};
+  const bool small = SmallMode();
+  const int trials = small ? 8 : 32;
+  for (int trial = 0; trial < trials; ++trial) {
     const std::uint64_t seed = 9200 + trial;
     Rng rng(seed);
+    const std::string& alphabet = alphabets[trial % alphabets.size()];
+    const std::size_t min_len = 1 + rng.NextBelow(6);
+    const std::size_t max_len = min_len + rng.NextBelow(21 - min_len);
     std::vector<std::string> terms;
-    const std::size_t n = 30 + rng.NextBelow(120);
+    const std::size_t n = (small ? 20 : 40) + rng.NextBelow(small ? 40 : 120);
     for (std::size_t i = 0; i < n; ++i) {
       std::string t;
-      const std::size_t len = 3 + rng.NextBelow(12);
-      for (std::size_t k = 0; k < len; ++k) {
-        t.push_back(static_cast<char>('a' + rng.NextBelow(26)));
+      if (!terms.empty() && rng.NextBernoulli(0.5)) {
+        t = Mutate(rng, terms[rng.NextBelow(terms.size())], alphabet);
+      }
+      if (t.size() < min_len || t.size() > max_len) {
+        t.clear();
+        const std::size_t len = min_len + rng.NextBelow(max_len - min_len + 1);
+        for (std::size_t k = 0; k < len; ++k) {
+          t.push_back(alphabet[rng.NextBelow(alphabet.size())]);
+        }
       }
       terms.push_back(std::move(t));
     }
     std::sort(terms.begin(), terms.end());
     terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
-    const double threshold = 0.5 + 0.45 * rng.NextDouble();
-    const TermSimilarityKind kind = rng.NextBernoulli(0.5)
-                                        ? TermSimilarityKind::kLcs
-                                        : TermSimilarityKind::kStem;
-    SCOPED_TRACE("seed=" + std::to_string(seed) +
-                 " kind=" + std::to_string(static_cast<int>(kind)) +
-                 " threshold=" + std::to_string(threshold));
-    const SimilarityIndex serial(terms, TermSimilarity(kind), threshold, 1);
-    for (std::size_t threads : {3, 8}) {
-      const SimilarityIndex parallel(terms, TermSimilarity(kind), threshold,
-                                     threads);
-      for (std::size_t i = 0; i < terms.size(); ++i) {
-        ASSERT_EQ(serial.Neighbors(i), parallel.Neighbors(i))
-            << "threads=" << threads << " term '" << terms[i] << "'";
+    std::size_t shortest = terms[0].size(), longest = 0;
+    for (const auto& t : terms) {
+      shortest = std::min(shortest, t.size());
+      longest = std::max(longest, t.size());
+    }
+
+    std::vector<std::string> probes = {""};
+    for (int k = 0; k < 3; ++k) {
+      const std::string& t = terms[rng.NextBelow(terms.size())];
+      probes.push_back(t);
+      probes.push_back(Mutate(rng, t, alphabet));
+    }
+    if (shortest >= 2) {  // shorter than every term
+      const std::string& t = terms[rng.NextBelow(terms.size())];
+      probes.push_back(t.substr(0, 1 + rng.NextBelow(shortest - 1)));
+    }
+    std::string longer = terms[rng.NextBelow(terms.size())];
+    while (longer.size() <= longest) {  // longer than every term
+      longer += terms[rng.NextBelow(terms.size())];
+    }
+    probes.push_back(longer);
+
+    // 2k/(2s) in the arithmetic of TermSimilarity::Compute.
+    auto boundary = [&] {
+      const std::size_t s = shortest + rng.NextBelow(longest - shortest + 1);
+      const std::size_t k = 1 + rng.NextBelow(s);
+      return 2.0 * static_cast<double>(k) / static_cast<double>(s + s);
+    };
+    const double low = 1.99 / static_cast<double>(shortest) *
+                       (0.05 + 0.95 * rng.NextDouble());
+    std::vector<double> thresholds = {1.0, boundary(), boundary(),
+                                      std::min(1.0, low),
+                                      0.5 + 0.45 * rng.NextDouble(), 0.0,
+                                      std::nextafter(1.0, 2.0)};
+    const TermSimilarityKind other = other_kinds[(trial / 4) % 4];
+    for (const double tau : thresholds) {
+      for (const TermSimilarityKind kind : {TermSimilarityKind::kLcs, other}) {
+        // The stem and exact kinds ignore tau outside (0, 1] by design.
+        if (kind != TermSimilarityKind::kLcs && !(tau > 0.0 && tau <= 1.0)) {
+          continue;
+        }
+        SCOPED_TRACE("seed=" + std::to_string(seed) +
+                     " kind=" + std::to_string(static_cast<int>(kind)) +
+                     " tau=" + std::to_string(tau));
+        const TermSimilarity sim(kind);
+        std::vector<std::vector<std::uint32_t>> rows(terms.size());
+        for (std::uint32_t i = 0; i < terms.size(); ++i) {
+          for (std::uint32_t j = 0; j < terms.size(); ++j) {
+            if (i == j || sim.Compute(terms[std::min(i, j)],
+                                      terms[std::max(i, j)]) >= tau) {
+              rows[i].push_back(j);
+            }
+          }
+        }
+        std::vector<std::vector<std::uint32_t>> matches;
+        for (const std::string& p : probes) {
+          std::vector<std::uint32_t> hits;
+          for (std::uint32_t j = 0; !p.empty() && j < terms.size(); ++j) {
+            if (sim.Compute(p, terms[j]) >= tau) hits.push_back(j);
+          }
+          matches.push_back(std::move(hits));
+        }
+        for (std::size_t threads : {1, 3, 8}) {
+          const SimilarityIndex index(terms, sim, tau, threads);
+          for (std::size_t i = 0; i < terms.size(); ++i) {
+            ASSERT_EQ(index.Neighbors(i), rows[i])
+                << "threads=" << threads << " term '" << terms[i] << "'";
+          }
+          for (std::size_t p = 0; p < probes.size(); ++p) {
+            ASSERT_EQ(index.Match(probes[p]), matches[p])
+                << "threads=" << threads << " probe '" << probes[p] << "'";
+          }
+        }
       }
     }
   }

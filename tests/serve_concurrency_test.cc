@@ -109,6 +109,7 @@ TEST(ServeConcurrencyTest, ReadersSeeCoherentSnapshotsDuringWrites) {
 
   std::atomic<bool> writes_done{false};
   std::atomic<std::uint64_t> total_reads{0};
+  std::atomic<int> readers_running{0};
 
   // Half the readers poll the lock-free snapshot directly (no queue); the
   // other half go through the admission-controlled Classify path, so both
@@ -118,6 +119,7 @@ TEST(ServeConcurrencyTest, ReadersSeeCoherentSnapshotsDuringWrites) {
     readers.emplace_back([&, r] {
       std::uint64_t last_generation = 0;
       std::size_t last_size = initial_size;
+      bool running = false;
       while (!writes_done.load(std::memory_order_acquire)) {
         const std::uint64_t gen_before = server.generation();
         const PaygoServer::Snapshot snap = server.snapshot();
@@ -134,6 +136,10 @@ TEST(ServeConcurrencyTest, ReadersSeeCoherentSnapshotsDuringWrites) {
           EXPECT_FALSE(scores->empty());
         }
         total_reads.fetch_add(1, std::memory_order_relaxed);
+        if (!running) {
+          running = true;
+          readers_running.fetch_add(1, std::memory_order_release);
+        }
       }
       // One final full check against the settled snapshot.
       EXPECT_EQ(CheckCoherent(server.snapshot()),
@@ -142,6 +148,11 @@ TEST(ServeConcurrencyTest, ReadersSeeCoherentSnapshotsDuringWrites) {
   }
 
   // Writer loop: sequential copy-on-write mutations racing the readers.
+  // The writes start only once every reader has completed a read: eight
+  // small adds can finish before a reader thread is first scheduled.
+  while (readers_running.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
+  }
   for (int i = 0; i < kWrites; ++i) {
     Status s = server.AddSchemaAsync(ExtraSchema(i), {"travel"}).get();
     ASSERT_TRUE(s.ok()) << s;

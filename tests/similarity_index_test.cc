@@ -92,9 +92,9 @@ TEST(SimilarityIndexTest, ExactKindIsIdentityOnly) {
   }
 }
 
-/// Property: the prefiltered neighborhoods match an exhaustive O(V^2)
-/// reference at both a high threshold (bigram prune active) and a low one
-/// (exhaustive fallback).
+/// Property: the q-gram-filtered neighborhoods match an exhaustive O(V^2)
+/// reference at high thresholds (long required grams) and low ones (short
+/// grams, and the scan for rows with q(s) <= 1).
 class SimilarityIndexPropertyTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(SimilarityIndexPropertyTest, AgreesWithExhaustiveReference) {

@@ -312,7 +312,8 @@ if [[ "$RUN_TSAN" == 1 ]]; then
     clone_aliasing_test admin_server_test thread_pool_test \
     parallel_determinism_test shard_replication_test fleet_trace_test \
     zero_alloc_test batch_classify_test bitset_kernel_test \
-    sparse_hac_test neighbor_graph_test -j "$JOBS"
+    sparse_hac_test neighbor_graph_test similarity_index_test \
+    fuzz_robustness_test -j "$JOBS"
 
   echo "==> tsan: trace_test"
   ./build-tsan/tests/trace_test
@@ -334,15 +335,19 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ./build-tsan/tests/batch_classify_test
   echo "==> tsan: zero_alloc_test (steady-state classify allocates nothing)"
   ./build-tsan/tests/zero_alloc_test
-  echo "==> tsan: thread_pool_test + parallel_determinism_test + sparse suites (ctest -j)"
+  echo "==> tsan: thread_pool_test + parallel_determinism_test + sparse + similarity index suites (ctest -j)"
   # Instrumented LCS scans are slow; the determinism harness and the
   # sparse-vs-dense fuzz honor PAYGO_DETERMINISM_SMALL and shrink their
   # corpora / round counts under TSan. sparse_hac_test and
   # neighbor_graph_test exercise the multi-threaded NeighborGraph build
-  # and the parallel sparse row combines under the race detector.
+  # and the parallel sparse row combines under the race detector;
+  # similarity_index_test the parallel q-gram neighborhood build.
   (cd build-tsan && PAYGO_DETERMINISM_SMALL=1 \
     ctest --output-on-failure -j "$JOBS" \
-      -R '^(thread_pool_test|parallel_determinism_test|sparse_hac_test|neighbor_graph_test)$')
+      -R '^(thread_pool_test|parallel_determinism_test|sparse_hac_test|neighbor_graph_test|similarity_index_test)$')
+  echo "==> tsan: fuzz_robustness_test similarity-index oracle case (small)"
+  PAYGO_DETERMINISM_SMALL=1 ./build-tsan/tests/fuzz_robustness_test \
+    --gtest_filter='FuzzTest.SimilarityIndexMatchesExhaustiveOracleOnRandomLexicons'
 fi
 
 echo "==> ci: all green"
