@@ -149,7 +149,7 @@ struct HarnessOptions {
   std::size_t dim = 4000;
   std::size_t bits = 48;      ///< set features per query
   std::size_t queries = 512;  ///< pool size (multiple of every batch size)
-  double seconds = 1.0;       ///< time box per batch size
+  double seconds = 1.0;       ///< time box per batch size, all rounds
   std::vector<std::size_t> batches = {1, 8, 64};
   bool check = false;
   double min_speedup = 2.0;      ///< batch-64-vs-1 throughput gate
@@ -157,6 +157,9 @@ struct HarnessOptions {
   std::string json_out = "BENCH_classifier.json";  // "" disables the file
   bool human = false;
 };
+
+/// The harness interleaves the batch sizes over this many rounds.
+constexpr std::size_t kRounds = 8;
 
 struct BatchPoint {
   std::size_t batch = 0;
@@ -171,57 +174,73 @@ double MicrosSince(Clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
 }
 
-/// Single-thread throughput at one batch size, through the zero-alloc
-/// paths (batch 1 = ClassifyInto, the single-query hot path; batch B > 1 =
-/// one ClassifyBatchInto sweep per chunk). Per-query latency for a sweep
-/// is sweep_time / B.
-BatchPoint MeasureBatchSize(const NaiveBayesClassifier& clf,
-                            const std::vector<DynamicBitset>& pool,
-                            std::size_t batch, double seconds) {
-  ClassifyScratch scratch;
-  std::vector<DomainScore> single_out;
-  std::vector<std::vector<DomainScore>> batch_out;
+/// One batch size's single-thread measurement, accumulated over the
+/// interleaved rounds, through the zero-alloc paths (batch 1 =
+/// ClassifyInto, the single-query hot path; batch B > 1 = one
+/// ClassifyBatchInto sweep per chunk). Per-query latency for a sweep is
+/// sweep_time / B.
+class BatchLane {
+ public:
+  BatchLane(const NaiveBayesClassifier& clf,
+            const std::vector<DynamicBitset>& pool, std::size_t batch)
+      : clf_(clf), pool_(pool), batch_(batch) {
+    for (std::size_t s = 0; s < pool_.size(); s += batch_) RunChunk(s);
+  }
 
-  auto run_chunk = [&](std::size_t start) {
-    if (batch == 1) {
-      clf.ClassifyInto(pool[start], &scratch, &single_out);
+  /// Whole passes over the pool until \p budget_us has elapsed.
+  void RunFor(double budget_us) {
+    const Clock::time_point t0 = Clock::now();
+    while (MicrosSince(t0) < budget_us) {
+      for (std::size_t s = 0; s < pool_.size(); s += batch_) {
+        const Clock::time_point c0 = Clock::now();
+        RunChunk(s);
+        per_query_us_.push_back(MicrosSince(c0) /
+                                static_cast<double>(batch_));
+        total_ += batch_;
+      }
+    }
+    elapsed_us_ += MicrosSince(t0);
+  }
+
+  /// Throughput is the summed queries over the summed time of all rounds.
+  BatchPoint Summary() const {
+    BatchPoint point;
+    point.batch = batch_;
+    point.total_queries = total_;
+    point.qps = total_ / (elapsed_us_ / 1e6);
+    std::vector<double> sorted = per_query_us_;
+    std::sort(sorted.begin(), sorted.end());
+    if (!sorted.empty()) {
+      point.p50_us = sorted[sorted.size() / 2];
+      point.p99_us = sorted[std::min(
+          sorted.size() - 1, static_cast<std::size_t>(sorted.size() * 0.99))];
+      for (double v : sorted) point.mean_us += v;
+      point.mean_us /= static_cast<double>(sorted.size());
+    }
+    return point;
+  }
+
+ private:
+  void RunChunk(std::size_t start) {
+    if (batch_ == 1) {
+      clf_.ClassifyInto(pool_[start], &scratch_, &single_out_);
     } else {
-      clf.ClassifyBatchInto(
-          std::span<const DynamicBitset>(pool.data() + start, batch),
-          &scratch, &batch_out);
-    }
-  };
-  for (std::size_t s = 0; s < pool.size(); s += batch) run_chunk(s);  // warm
-
-  std::vector<double> per_query_us;
-  std::uint64_t total = 0;
-  const Clock::time_point t0 = Clock::now();
-  const double budget_us = seconds * 1e6;
-  while (MicrosSince(t0) < budget_us) {
-    for (std::size_t s = 0; s < pool.size(); s += batch) {
-      const Clock::time_point c0 = Clock::now();
-      run_chunk(s);
-      per_query_us.push_back(MicrosSince(c0) / static_cast<double>(batch));
-      total += batch;
+      clf_.ClassifyBatchInto(
+          std::span<const DynamicBitset>(pool_.data() + start, batch_),
+          &scratch_, &batch_out_);
     }
   }
-  const double elapsed_us = MicrosSince(t0);
 
-  BatchPoint point;
-  point.batch = batch;
-  point.total_queries = total;
-  point.qps = total / (elapsed_us / 1e6);
-  std::sort(per_query_us.begin(), per_query_us.end());
-  if (!per_query_us.empty()) {
-    point.p50_us = per_query_us[per_query_us.size() / 2];
-    point.p99_us = per_query_us[std::min(
-        per_query_us.size() - 1,
-        static_cast<std::size_t>(per_query_us.size() * 0.99))];
-    for (double v : per_query_us) point.mean_us += v;
-    point.mean_us /= static_cast<double>(per_query_us.size());
-  }
-  return point;
-}
+  const NaiveBayesClassifier& clf_;
+  const std::vector<DynamicBitset>& pool_;
+  std::size_t batch_;
+  ClassifyScratch scratch_;
+  std::vector<DomainScore> single_out_;
+  std::vector<std::vector<DomainScore>> batch_out_;
+  std::vector<double> per_query_us_;
+  std::uint64_t total_ = 0;
+  double elapsed_us_ = 0.0;
+};
 
 int RunHarness(const HarnessOptions& opts) {
   Rng rng(41);
@@ -242,15 +261,27 @@ int RunHarness(const HarnessOptions& opts) {
     pool.push_back(std::move(q));
   }
 
-  std::vector<BatchPoint> points;
+  std::vector<BatchLane> lanes;
+  lanes.reserve(opts.batches.size());
   for (std::size_t batch : opts.batches) {
     if (batch == 0 || opts.queries % batch != 0) {
       std::cerr << "batch size " << batch << " must divide --queries "
                 << opts.queries << "\n";
       return 2;
     }
-    points.push_back(MeasureBatchSize(clf, pool, batch, opts.seconds));
+    lanes.emplace_back(clf, pool, batch);
   }
+  // Each batch size gets opts.seconds in total, split over short rounds
+  // that visit the sizes in alternating order, so a slow spell of the host
+  // lands on every size alike instead of skewing the speedup ratio.
+  const double round_us = opts.seconds * 1e6 / kRounds;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      lanes[round % 2 == 0 ? k : lanes.size() - 1 - k].RunFor(round_us);
+    }
+  }
+  std::vector<BatchPoint> points;
+  for (const BatchLane& lane : lanes) points.push_back(lane.Summary());
 
   double qps_b1 = 0.0, qps_bmax = 0.0;
   std::size_t bmax = 0;
@@ -305,7 +336,8 @@ int RunHarness(const HarnessOptions& opts) {
         << ", \"config\": {\"domains\": " << opts.num_domains
         << ", \"dim\": " << opts.dim << ", \"bits\": " << opts.bits
         << ", \"queries\": " << opts.queries
-        << ", \"seconds\": " << opts.seconds << "}, \"results\": "
+        << ", \"seconds\": " << opts.seconds << ", \"rounds\": " << kRounds
+        << "}, \"results\": "
         << results.str() << "}\n";
     if (!out) {
       std::cerr << "failed writing " << opts.json_out << "\n";

@@ -242,21 +242,24 @@ Result<NaiveBayesClassifier> NaiveBayesClassifier::Build(
   if (num_schemas_total == 0) {
     return Status::InvalidArgument("num_schemas_total must be positive");
   }
-  NaiveBayesClassifier clf;
-  clf.options_ = options;
-  clf.conditionals_.reserve(model.num_domains());
-  clf.singleton_domain_.reserve(model.num_domains());
+  std::vector<DomainConditionals> conditionals;
+  std::vector<bool> singleton;
+  conditionals.reserve(model.num_domains());
+  singleton.reserve(model.num_domains());
   for (std::uint32_t r = 0; r < model.num_domains(); ++r) {
     PAYGO_ASSIGN_OR_RETURN(
         DomainConditionals cond,
         ComputeDomainConditionals(model, r, features, num_schemas_total,
                                   options.engine,
                                   options.max_uncertain_exhaustive));
-    clf.conditionals_.push_back(std::move(cond));
-    clf.singleton_domain_.push_back(model.IsSingletonDomain(r));
+    conditionals.push_back(std::move(cond));
+    singleton.push_back(model.IsSingletonDomain(r));
   }
-  clf.Precompute();
-  return clf;
+  // Rows are made once every q1 exists, so the log-odds rows the classify
+  // loops stream are allocated back to back rather than between the
+  // conditional computations' temporaries.
+  return FromConditionals(std::move(conditionals), std::move(singleton),
+                          options);
 }
 
 NaiveBayesClassifier NaiveBayesClassifier::FromConditionals(
@@ -264,40 +267,44 @@ NaiveBayesClassifier NaiveBayesClassifier::FromConditionals(
     std::vector<bool> singleton_domain, const ClassifierOptions& options) {
   NaiveBayesClassifier clf;
   clf.options_ = options;
-  clf.conditionals_ = std::move(conditionals);
+  const std::size_t num_domains = conditionals.size();
+  clf.rows_.reserve(num_domains);
+  clf.priors_.reserve(num_domains);
+  for (DomainConditionals& cond : conditionals) {
+    clf.priors_.push_back(cond.prior);
+    clf.rows_.push_back(MakeRow(std::move(cond.q1)));
+  }
+  clf.scoring_.resize(num_domains);
+  for (std::size_t r = 0; r < num_domains; ++r) clf.RefreshBase(r);
   clf.singleton_domain_ = std::move(singleton_domain);
-  clf.singleton_domain_.resize(clf.conditionals_.size(), false);
-  clf.Precompute();
+  clf.singleton_domain_.resize(clf.rows_.size(), false);
   return clf;
 }
 
-void NaiveBayesClassifier::Precompute() {
-  // All remaining query-independent work (Section 5.3): per-domain base
-  // score with every feature absent, plus per-feature log-odds so a query
-  // only pays for its set features.
-  base_.resize(conditionals_.size());
-  log1mq_sum_.resize(conditionals_.size());
-  log_odds_.resize(conditionals_.size());
-  for (std::size_t r = 0; r < conditionals_.size(); ++r) PrecomputeDomain(r);
-}
-
-void NaiveBayesClassifier::PrecomputeDomain(std::size_t r) {
-  const DomainConditionals& c = conditionals_[r];
+std::shared_ptr<const ClassifierRow> NaiveBayesClassifier::MakeRow(
+    std::vector<double> q1) {
+  // All remaining query-independent work (Section 5.3): the log-likelihood
+  // with every feature absent, plus per-feature log-odds so a query only
+  // pays for its set features.
+  auto row = std::make_shared<ClassifierRow>();
+  row->q1 = std::move(q1);
+  row->log_odds.resize(row->q1.size());
   double s = 0.0;
-  log_odds_[r].resize(c.q1.size());
-  for (std::size_t j = 0; j < c.q1.size(); ++j) {
-    const double q = std::min(std::max(c.q1[j], 1e-300), 1.0 - 1e-15);
+  for (std::size_t j = 0; j < row->q1.size(); ++j) {
+    const double q = std::min(std::max(row->q1[j], 1e-300), 1.0 - 1e-15);
     s += std::log1p(-q);
-    log_odds_[r][j] = std::log(q) - std::log1p(-q);
+    row->log_odds[j] = std::log(q) - std::log1p(-q);
   }
-  log1mq_sum_[r] = s;
-  RefreshBase(r);
+  row->log1mq_sum = s;
+  return row;
 }
 
 void NaiveBayesClassifier::RefreshBase(std::size_t r) {
   constexpr double kNegInf = -1e300;
-  const double prior = conditionals_[r].prior;
-  base_[r] = (prior > 0.0 ? std::log(prior) : kNegInf) + log1mq_sum_[r];
+  const double prior = priors_[r];
+  scoring_[r] = {(prior > 0.0 ? std::log(prior) : kNegInf) +
+                     rows_[r]->log1mq_sum,
+                 rows_[r]->log_odds.data()};
 }
 
 Result<NaiveBayesClassifier> NaiveBayesClassifier::UpdateDomains(
@@ -323,66 +330,65 @@ Result<NaiveBayesClassifier> NaiveBayesClassifier::UpdateDomains(
   static Counter* reused = reg.GetCounter("paygo.classifier.domains_reused");
   PAYGO_TRACE_SPAN("classify.update_domains");
 
-  NaiveBayesClassifier clf;
-  clf.options_ = base.options_;
-  clf.conditionals_ = base.conditionals_;
-  clf.log_odds_ = base.log_odds_;
-  clf.log1mq_sum_ = base.log1mq_sum_;
-  clf.base_ = base.base_;
-  const std::size_t old_domains = base.num_domains();
-  clf.conditionals_.resize(model.num_domains());
-  clf.log_odds_.resize(model.num_domains());
-  clf.log1mq_sum_.resize(model.num_domains(), 0.0);
-  clf.base_.resize(model.num_domains(), 0.0);
-  clf.singleton_domain_.resize(model.num_domains());
-  for (std::uint32_t r = 0; r < model.num_domains(); ++r) {
-    clf.singleton_domain_[r] = model.IsSingletonDomain(r);
-  }
-
-  std::vector<bool> affected(model.num_domains(), false);
+  const std::size_t num_domains = model.num_domains();
+  std::vector<bool> affected(num_domains, false);
   for (std::uint32_t r : affected_domains) {
-    if (r >= model.num_domains()) {
+    if (r >= num_domains) {
       return Status::InvalidArgument("affected domain id " +
                                      std::to_string(r) + " out of range");
     }
     affected[r] = true;
   }
   // Domains the base classifier has never seen are necessarily affected.
-  for (std::size_t r = old_domains; r < model.num_domains(); ++r) {
+  for (std::size_t r = base.num_domains(); r < num_domains; ++r) {
     affected[r] = true;
   }
 
-  for (std::uint32_t r = 0; r < model.num_domains(); ++r) {
+  // Row pointers are copied, rows are not; every prior and base score is
+  // recomputed below, so those start fresh.
+  NaiveBayesClassifier clf;
+  clf.options_ = base.options_;
+  clf.rows_ = base.rows_;
+  clf.rows_.resize(num_domains);
+  clf.priors_.resize(num_domains, 0.0);
+  clf.scoring_.resize(num_domains);
+  clf.singleton_domain_.resize(num_domains);
+  for (std::uint32_t r = 0; r < num_domains; ++r) {
+    clf.singleton_domain_[r] = model.IsSingletonDomain(r);
+  }
+
+  for (std::uint32_t r = 0; r < num_domains; ++r) {
     if (affected[r]) {
       PAYGO_ASSIGN_OR_RETURN(
-          clf.conditionals_[r],
+          DomainConditionals cond,
           ComputeDomainConditionals(model, r, features, num_schemas_total,
                                     clf.options_.engine,
                                     clf.options_.max_uncertain_exhaustive));
-      clf.PrecomputeDomain(r);
+      clf.priors_[r] = cond.prior;
+      clf.rows_[r] = MakeRow(std::move(cond.q1));
       refreshed->Increment();
     } else {
-      // Untouched schema set: q1 and log-odds are bitwise what Build()
-      // would produce (the accumulators never see |S|); only the prior's
-      // 1/|S| normalizer changed.
+      // Untouched schema set: the shared row is bitwise what Build() would
+      // produce (the accumulators never see |S|); only the prior's 1/|S|
+      // normalizer changed.
       PAYGO_ASSIGN_OR_RETURN(
-          clf.conditionals_[r].prior,
+          clf.priors_[r],
           ComputeDomainPrior(model, r, num_schemas_total, clf.options_.engine,
                              clf.options_.max_uncertain_exhaustive));
-      clf.RefreshBase(r);
       reused->Increment();
     }
+    clf.RefreshBase(r);
   }
   return clf;
 }
 
 NaiveBayesClassifier NaiveBayesClassifier::WithPriors(
     const std::vector<double>& priors) const {
-  NaiveBayesClassifier clf = *this;
-  assert(priors.size() == clf.conditionals_.size());
-  const std::size_t n = std::min(priors.size(), clf.conditionals_.size());
+  NaiveBayesClassifier clf = *this;  // shares every row
+  assert(priors.size() == clf.rows_.size());
+  const std::size_t n = std::min(priors.size(), clf.rows_.size());
   for (std::size_t r = 0; r < n; ++r) {
-    clf.conditionals_[r].prior = priors[r];
+    clf.priors_[r] = priors[r];
     clf.RefreshBase(r);
   }
   return clf;
@@ -411,11 +417,11 @@ void NaiveBayesClassifier::ClassifyInto(const DynamicBitset& query,
   scratch->set_bits.clear();
   query.AppendSetBits(&scratch->set_bits);
   out->clear();
-  out->reserve(conditionals_.size());
-  for (std::uint32_t r = 0; r < conditionals_.size(); ++r) {
+  out->reserve(rows_.size());
+  for (std::uint32_t r = 0; r < rows_.size(); ++r) {
     if (options_.skip_singleton_domains && singleton_domain_[r]) continue;
-    double s = base_[r];
-    const double* lo = log_odds_[r].data();
+    double s = scoring_[r].base;
+    const double* lo = scoring_[r].log_odds;
     for (std::size_t j : scratch->set_bits) s += lo[j];
     out->push_back({r, s});
   }
@@ -475,10 +481,10 @@ void NaiveBayesClassifier::ClassifyBatchInto(
   }
   for (std::size_t b = 0; b < batch; ++b) {
     (*out)[b].clear();
-    (*out)[b].reserve(conditionals_.size());
+    (*out)[b].reserve(rows_.size());
   }
 
-  // The struct-of-arrays sweep: domain-major, so each domain's log_odds_
+  // The struct-of-arrays sweep: domain-major, so each domain's log-odds
   // row is loaded into cache once and scored against all B queries before
   // moving on — the single-query loop instead re-touches every row per
   // query. Per (query, domain) the accumulation is base + ascending
@@ -486,10 +492,10 @@ void NaiveBayesClassifier::ClassifyBatchInto(
   // the batch path bitwise-identical to B single calls.
   const std::size_t* off = scratch->batch_offsets.data();
   const std::size_t* idx = scratch->batch_indices.data();
-  for (std::uint32_t r = 0; r < conditionals_.size(); ++r) {
+  for (std::uint32_t r = 0; r < rows_.size(); ++r) {
     if (options_.skip_singleton_domains && singleton_domain_[r]) continue;
-    const double base = base_[r];
-    const double* lo = log_odds_[r].data();
+    const double base = scoring_[r].base;
+    const double* lo = scoring_[r].log_odds;
     for (std::size_t b = 0; b < batch; ++b) {
       double s = base;
       for (std::size_t k = off[b]; k < off[b + 1]; ++k) s += lo[idx[k]];

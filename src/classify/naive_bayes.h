@@ -33,8 +33,21 @@
 /// domain keeps its q1 vector verbatim and merely has its prior rescaled
 /// to the new |S| (recomputed through the same accumulation loop, so the
 /// result is bit-identical to a from-scratch Build()).
+///
+/// Storage is shared at domain granularity. Each domain's q1 vector, its
+/// log-odds row and their cached sum_j log(1 - q1[j]) live in one immutable
+/// ClassifierRow held by shared_ptr<const>; only the priors and the
+/// prior-dependent base scores are flat per-domain vectors, because every
+/// arrival rescales every prior. UpdateDomains() therefore copies row
+/// pointers, not rows: an unaffected domain's row is the very object the
+/// base classifier scores with, so reusing it is exact by construction,
+/// and an add costs O(#domains) pointer copies plus the affected domains'
+/// fresh rows instead of two whole #domains x dim L tables. WithPriors()
+/// shares every row. Rows are never written after construction, so
+/// snapshots that share them may be read concurrently.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -72,6 +85,45 @@ struct DomainConditionals {
   /// Pr(F_j = 1 | D_r) for every lexicon feature j (Equation 5.4 with the
   /// m-estimate 5.9); strictly inside (0, 1) by construction.
   std::vector<double> q1;
+};
+
+/// \brief One domain's immutable scoring row, shared by every classifier
+/// snapshot whose domain it still describes.
+struct ClassifierRow {
+  /// Pr(F_j = 1 | D_r) for every lexicon feature j.
+  std::vector<double> q1;
+  /// log q1[j] - log(1 - q1[j]): a query adds one term per set feature.
+  std::vector<double> log_odds;
+  /// sum_j log(1 - q1[j]), the all-features-absent score minus log prior.
+  double log1mq_sum = 0.0;
+};
+
+/// \brief Read-only view of a classifier's per-domain parameters, indexed
+/// like a vector of DomainConditionals: view[r].prior and view[r].q1 (a
+/// reference into the shared row). Valid while the classifier it came
+/// from is alive.
+class ConditionalsView {
+ public:
+  struct Entry {
+    double prior;
+    const std::vector<double>& q1;
+  };
+
+  std::size_t size() const { return rows_->size(); }
+  bool empty() const { return rows_->empty(); }
+  Entry operator[](std::size_t r) const {
+    return {(*priors_)[r], (*rows_)[r]->q1};
+  }
+
+ private:
+  friend class NaiveBayesClassifier;
+  ConditionalsView(
+      const std::vector<double>& priors,
+      const std::vector<std::shared_ptr<const ClassifierRow>>& rows)
+      : priors_(&priors), rows_(&rows) {}
+
+  const std::vector<double>* priors_;
+  const std::vector<std::shared_ptr<const ClassifierRow>>* rows_;
 };
 
 /// \brief One ranked classification answer.
@@ -120,12 +172,13 @@ class NaiveBayesClassifier {
 
   /// Incremental refresh: a classifier for \p model where only the domains
   /// in \p affected_domains (plus any domains \p base does not cover yet)
-  /// have their conditionals recomputed; every other domain reuses \p
-  /// base's q1 vector and precomputed log-odds verbatim, and has its prior
-  /// recomputed for the new \p num_schemas_total. Exact, not approximate:
-  /// the factored engine makes each domain's conditionals depend only on
-  /// its own membership rows and its members' feature vectors, so the
-  /// result is bit-identical to Build() over the same inputs. Domains must
+  /// have their conditionals recomputed; every other domain shares \p
+  /// base's row (q1 and precomputed log-odds) by pointer, and has its
+  /// prior recomputed for the new \p num_schemas_total. Exact, not
+  /// approximate: the factored engine makes each domain's conditionals
+  /// depend only on its own membership rows and its members' feature
+  /// vectors, so the result is bit-identical to Build() over the same
+  /// inputs. Domains must
   /// never shrink ids across updates (the incremental clusterer only
   /// appends); \p affected_domains must list every domain whose schema set
   /// or membership probabilities changed.
@@ -136,8 +189,8 @@ class NaiveBayesClassifier {
       const std::vector<std::uint32_t>& affected_domains);
 
   /// A copy of this classifier with per-domain priors replaced by
-  /// \p priors (size must equal num_domains()). Conditionals and log-odds
-  /// are reused verbatim; only the prior-dependent base scores are
+  /// \p priors (size must equal num_domains()). Every row (conditionals
+  /// and log-odds) is shared; only the prior-dependent base scores are
   /// recomputed — the implicit-feedback fast path.
   NaiveBayesClassifier WithPriors(const std::vector<double>& priors) const;
 
@@ -153,7 +206,7 @@ class NaiveBayesClassifier {
                     std::vector<DomainScore>* out) const;
 
   /// Ranks B queries in one struct-of-arrays sweep: the loop order is
-  /// domain-major, so each domain's log_odds_ row streams through cache
+  /// domain-major, so each domain's log-odds row streams through cache
   /// ONCE for all B queries instead of once per query. Output is
   /// bitwise-identical (EXPECT_EQ on doubles, not near) to B independent
   /// Classify calls — per (query, domain) the scored features are summed
@@ -172,25 +225,19 @@ class NaiveBayesClassifier {
                          std::vector<std::vector<DomainScore>>* out) const;
 
   /// Number of domains the classifier covers.
-  std::size_t num_domains() const { return conditionals_.size(); }
+  std::size_t num_domains() const { return rows_.size(); }
   /// Feature-space dimensionality.
-  std::size_t dim() const {
-    return conditionals_.empty() ? 0 : conditionals_[0].q1.size();
-  }
+  std::size_t dim() const { return rows_.empty() ? 0 : rows_[0]->q1.size(); }
 
   /// Pr(D_r) — for tests and inspection.
-  double Prior(std::uint32_t domain) const {
-    return conditionals_[domain].prior;
-  }
+  double Prior(std::uint32_t domain) const { return priors_[domain]; }
   /// Pr(F_j = 1 | D_r) — for tests and inspection.
   double FeatureProb(std::uint32_t domain, std::size_t j) const {
-    return conditionals_[domain].q1[j];
+    return rows_[domain]->q1[j];
   }
 
   /// All per-domain conditionals (for persistence and the feedback layer).
-  const std::vector<DomainConditionals>& conditionals() const {
-    return conditionals_;
-  }
+  ConditionalsView conditionals() const { return {priors_, rows_}; }
   /// Per-domain singleton flags, as passed at construction.
   const std::vector<bool>& singleton_domains() const {
     return singleton_domain_;
@@ -200,27 +247,33 @@ class NaiveBayesClassifier {
 
  private:
   NaiveBayesClassifier() = default;
-  void Precompute();
-  /// Recomputes log_odds_[r], log1mq_sum_[r], and base_[r] from
-  /// conditionals_[r]. The single canonical per-domain precompute — both
-  /// the full Build() and the incremental UpdateDomains() go through it,
-  /// which is what keeps the two paths bit-identical.
-  void PrecomputeDomain(std::size_t r);
-  /// base_[r] from the domain's prior and cached log1mq_sum_[r].
+  /// The immutable row for \p q1: its log-odds and log1mq_sum. The single
+  /// canonical per-domain precompute — Build() (via FromConditionals())
+  /// and UpdateDomains() both go through it, which is what keeps the full
+  /// and incremental paths bit-identical.
+  static std::shared_ptr<const ClassifierRow> MakeRow(std::vector<double> q1);
+  /// scoring_[r] from priors_[r] and rows_[r]: the base score and the
+  /// row's log-odds pointer.
   void RefreshBase(std::size_t r);
 
+  /// What the classify loops read per domain, kept in one flat array so a
+  /// query streams it sequentially: the base score log priors_[r] +
+  /// rows_[r]->log1mq_sum, and rows_[r]->log_odds.data() (owned by the
+  /// shared row, which this classifier keeps alive).
+  struct Scoring {
+    double base;
+    const double* log_odds;
+  };
+
   ClassifierOptions options_;
-  std::vector<DomainConditionals> conditionals_;
+  // score(Q) = scoring_[r].base + sum over set features of
+  // rows_[r]->log_odds[j]. Rows are shared across snapshots; priors_ and
+  // scoring_ are per-snapshot because incremental arrivals rescale every
+  // prior and click feedback reweights them.
+  std::vector<std::shared_ptr<const ClassifierRow>> rows_;
+  std::vector<double> priors_;
+  std::vector<Scoring> scoring_;
   std::vector<bool> singleton_domain_;
-  // Precomputed scoring terms: score(Q) = base_[r] + sum over set features
-  // of log_odds_[r][j], where base_ = log prior + log1mq_sum_ (the cached
-  // sum_j log(1 - q1[j])) and log_odds_[r][j] = log q1[j] - log(1 - q1[j]).
-  // log1mq_sum_ is kept separately so a prior-only change (incremental
-  // arrivals rescale every prior; click feedback reweights them) refreshes
-  // base_ without touching the O(dim) log evaluations.
-  std::vector<double> base_;
-  std::vector<double> log1mq_sum_;
-  std::vector<std::vector<double>> log_odds_;
 };
 
 /// Computes the exact per-domain conditionals for one domain. Exposed for

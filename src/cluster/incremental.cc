@@ -53,15 +53,15 @@ Result<IncrementalAddResult> IncrementalClusterer::AddSchema(
 
   // s_sim against every existing schema, then s_c_sim per cluster — the
   // Algorithm 3 quantities for the newcomer.
-  std::vector<double> sims(features_.size());
+  last_sims_.resize(features_.size());
   for (std::size_t j = 0; j < features_.size(); ++j) {
-    sims[j] = DynamicBitset::Jaccard(f, features_[j]);
+    last_sims_[j] = DynamicBitset::Jaccard(f, features_[j]);
   }
   double max_sim = 0.0;
   std::vector<double> sc(clusters_.size(), 0.0);
   for (std::uint32_t r = 0; r < clusters_.size(); ++r) {
     double total = 0.0;
-    for (std::uint32_t j : clusters_[r]) total += sims[j];
+    for (std::uint32_t j : clusters_[r]) total += last_sims_[j];
     sc[r] = clusters_[r].empty()
                 ? 0.0
                 : total / static_cast<double>(clusters_[r].size());

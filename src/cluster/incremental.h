@@ -78,6 +78,12 @@ class IncrementalClusterer {
   /// Feature vectors including added schemas (corpus order).
   const std::vector<DynamicBitset>& features() const { return features_; }
 
+  /// s_sim of the most recently added schema against every schema before
+  /// it (corpus order): Jaccard(new, features()[j]). The delta write path
+  /// hands this row to the similarity matrix / neighbor graph extension so
+  /// an add scans the corpus once, not twice. Empty before the first add.
+  const std::vector<double>& last_similarities() const { return last_sims_; }
+
   /// Moves the feature vectors out (corpus order), leaving the clusterer
   /// drained — the delta write path's way to adopt them without an
   /// O(#schemas * dim) copy. Call last.
@@ -100,6 +106,7 @@ class IncrementalClusterer {
   const FeatureVectorizer& vectorizer_;
   IncrementalOptions options_;
   std::vector<DynamicBitset> features_;
+  std::vector<double> last_sims_;
   // Mutable clustering state.
   std::vector<std::vector<std::uint32_t>> clusters_;
   std::vector<std::vector<std::pair<std::uint32_t, double>>> schema_domains_;

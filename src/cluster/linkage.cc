@@ -60,10 +60,11 @@ SimilarityMatrix::SimilarityMatrix(const std::vector<DynamicBitset>& features,
 }
 
 SimilarityMatrix::SimilarityMatrix(const SimilarityMatrix& base,
-                                   const std::vector<DynamicBitset>& features)
+                                   const std::vector<DynamicBitset>& features,
+                                   std::span<const double> last_row)
     : n_(features.size()), values_(n_ * n_, 0.0f) {
   const std::size_t old_n = base.n_;
-  assert(n_ == old_n + 1);
+  assert(n_ == old_n + 1 && last_row.size() == old_n);
   // Old block row by row (the stride changed from old_n to n_), then the
   // single new row/column.
   for (std::size_t i = 0; i < old_n; ++i) {
@@ -73,8 +74,7 @@ SimilarityMatrix::SimilarityMatrix(const SimilarityMatrix& base,
   const std::size_t k = n_ - 1;
   values_[k * n_ + k] = features[k].None() ? 0.0f : 1.0f;
   for (std::size_t j = 0; j < k; ++j) {
-    const float s =
-        static_cast<float>(DynamicBitset::Jaccard(features[k], features[j]));
+    const float s = static_cast<float>(last_row[j]);
     values_[k * n_ + j] = s;
     values_[j * n_ + k] = s;
   }

@@ -11,6 +11,7 @@
 /// (single-link analog), and Total Jaccard (set-based over cluster term
 /// summaries).
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,13 +55,16 @@ class SimilarityMatrix {
 
   /// Extends \p base (built over features[0..n-1]) to cover \p features
   /// (size n + 1, the last entry newly appended): old entries are copied
-  /// verbatim and only the new row/column's n Jaccards are computed —
-  /// O(n * dim) instead of the O(n^2 * dim) full fill. Jaccard is a pure
+  /// verbatim and the new row/column is \p last_row, where last_row[j] ==
+  /// Jaccard(features[n], features[j]) as IncrementalClusterer::
+  /// last_similarities() already computed it — O(n^2) copying and no
+  /// corpus scan instead of the O(n^2 * dim) full fill. Jaccard is a pure
   /// function of the two bitsets, so the result is bit-identical to a
   /// from-scratch build over \p features. The delta write path's matrix
   /// refresh.
   SimilarityMatrix(const SimilarityMatrix& base,
-                   const std::vector<DynamicBitset>& features);
+                   const std::vector<DynamicBitset>& features,
+                   std::span<const double> last_row);
 
   /// s_sim(S_i, S_j); symmetric, At(i, i) == 1 for non-empty vectors.
   double At(std::size_t i, std::size_t j) const {

@@ -455,16 +455,15 @@ Result<NeighborGraph> NeighborGraph::Build(
 }
 
 NeighborGraph::NeighborGraph(const NeighborGraph& base,
-                             const std::vector<DynamicBitset>& features) {
+                             const std::vector<DynamicBitset>& features,
+                             std::span<const double> last_row) {
   const std::size_t old_n = base.num_nodes();
   const std::size_t n = features.size();
-  assert(n >= old_n);
+  assert(n == old_n + 1 && last_row.size() == old_n);
   NeighborGraphStats stats = base.stats_;
   std::vector<std::uint8_t> nonempty(n, 0);
   for (std::size_t i = 0; i < old_n; ++i) nonempty[i] = base.nonempty_[i];
-  for (std::size_t i = old_n; i < n; ++i) {
-    nonempty[i] = features[i].None() ? 0 : 1;
-  }
+  nonempty[old_n] = features[old_n].None() ? 0 : 1;
   std::vector<Triple> upper;
   upper.reserve(base.edges_.size() / 2);
   for (std::uint32_t a = 0; a < old_n; ++a) {
@@ -473,22 +472,18 @@ NeighborGraph::NeighborGraph(const NeighborGraph& base,
       if (it->id > a) upper.push_back(Triple{a, it->id, it->sim});
     }
   }
-  // New tail rows are exact regardless of the base graph's mode: the
-  // incremental path trades O(n) kernel scans per added schema for not
-  // having to retain posting lists or MinHash signatures.
-  for (std::uint32_t b = static_cast<std::uint32_t>(old_n); b < n; ++b) {
-    for (std::uint32_t a = 0; a < b; ++a) {
-      const double sim = DynamicBitset::Jaccard(features[a], features[b]);
-      ++stats.candidates_verified;
-      if (sim <= 0.0) continue;
-      const float fsim = static_cast<float>(sim);
-      if (base.edge_tau_ > 0.0 &&
-          static_cast<double>(fsim) < base.edge_tau_) {
-        ++stats.candidates_pruned;
-        continue;
-      }
-      upper.push_back(Triple{a, b, fsim});
+  // The new tail row is exact regardless of the base graph's mode.
+  const auto b = static_cast<std::uint32_t>(old_n);
+  for (std::uint32_t a = 0; a < b; ++a) {
+    const double sim = last_row[a];
+    ++stats.candidates_verified;
+    if (sim <= 0.0) continue;
+    const float fsim = static_cast<float>(sim);
+    if (base.edge_tau_ > 0.0 && static_cast<double>(fsim) < base.edge_tau_) {
+      ++stats.candidates_pruned;
+      continue;
     }
+    upper.push_back(Triple{a, b, fsim});
   }
   *this = FromTriples(n, upper, std::move(nonempty), stats, 1);
   mode_ = base.mode_;

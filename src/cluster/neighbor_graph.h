@@ -36,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/bitset.h"
@@ -113,13 +114,17 @@ class NeighborGraph {
   static Result<NeighborGraph> Build(const std::vector<DynamicBitset>& features,
                                      const NeighborGraphOptions& options);
 
-  /// Extension constructor, mirroring SimilarityMatrix(base, features):
-  /// \p features is the full corpus whose prefix \p base was built over.
-  /// Rows for the new tail schemas are computed exactly (brute-force
-  /// kernel Jaccard against every earlier schema), so incremental adds do
-  /// not depend on retained posting lists or signatures.
+  /// Extension constructor, mirroring SimilarityMatrix(base, features,
+  /// last_row): \p features is \p base's corpus plus one appended schema,
+  /// and \p last_row[a] == Jaccard(features.back(), features[a]) for every
+  /// earlier schema a — the exact row IncrementalClusterer::
+  /// last_similarities() already computed, so incremental adds neither
+  /// rescan the corpus nor depend on retained posting lists or signatures.
+  /// Jaccard's AND/OR popcounts are symmetric, so the new edges are
+  /// bitwise the ones a full Build() verifies.
   NeighborGraph(const NeighborGraph& base,
-                const std::vector<DynamicBitset>& features);
+                const std::vector<DynamicBitset>& features,
+                std::span<const double> last_row);
 
   std::size_t num_nodes() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;

@@ -119,8 +119,7 @@ Result<DomainModel> ParseDomainModel(std::string_view text) {
   return DomainModel::Build(std::move(clusters), std::move(schema_domains));
 }
 
-std::string SerializeConditionals(
-    const std::vector<DomainConditionals>& conditionals) {
+std::string SerializeConditionals(ConditionalsView conditionals) {
   std::ostringstream os;
   os << kConditionalsHeader << "\n";
   const std::size_t dim =

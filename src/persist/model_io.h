@@ -49,8 +49,7 @@ std::string SerializeDomainModel(const DomainModel& model);
 Result<DomainModel> ParseDomainModel(std::string_view text);
 
 /// Serializes classifier conditionals (priors + per-feature q1 vectors).
-std::string SerializeConditionals(
-    const std::vector<DomainConditionals>& conditionals);
+std::string SerializeConditionals(ConditionalsView conditionals);
 
 /// Parses conditionals serialized by SerializeConditionals.
 Result<std::vector<DomainConditionals>> ParseConditionals(

@@ -26,6 +26,7 @@
 
 #include "core/integration_system.h"
 #include "obs/trace.h"
+#include "persist/model_io.h"
 #include "serve/paygo_server.h"
 
 namespace paygo {
@@ -197,6 +198,63 @@ TEST(CloneAliasingTest, CloneSharesUntouchedComponents) {
   EXPECT_EQ(&clone2->features(), &original.features());
   EXPECT_EQ(&clone2->similarities(), &original.similarities());
   EXPECT_EQ(&clone2->mediation(0), &original.mediation(0));
+}
+
+/// Every domain's classifier row address (the q1 vector lives in the row).
+std::vector<const std::vector<double>*> RowAddresses(
+    const NaiveBayesClassifier& clf) {
+  std::vector<const std::vector<double>*> rows;
+  for (std::size_t r = 0; r < clf.num_domains(); ++r) {
+    rows.push_back(&clf.conditionals()[r].q1);
+  }
+  return rows;
+}
+
+TEST(CloneAliasingTest, ClassifierRowsSharedAcrossAddAndFeedback) {
+  auto built = IntegrationSystem::Build(SmallCorpus());
+  ASSERT_TRUE(built.ok()) << built.status();
+  const IntegrationSystem& original = **built;
+  const ObservableState before = ObservableState::Capture(original);
+  const std::string serialized_before =
+      SerializeConditionals(original.classifier().conditionals());
+  const auto original_rows = RowAddresses(original.classifier());
+
+  // AddSchema: only the domains the schema joined (and any it opened) get
+  // fresh rows; every other domain's row is the original's object.
+  auto clone = original.Clone();
+  auto added = clone->AddSchema(ExtraSchema(0), {"travel"});
+  ASSERT_TRUE(added.ok()) << added.status();
+  std::vector<bool> affected(clone->classifier().num_domains(), false);
+  for (const auto& [domain, prob] : added->memberships) {
+    affected[domain] = true;
+  }
+  const auto added_rows = RowAddresses(clone->classifier());
+  ASSERT_GE(added_rows.size(), original_rows.size());
+  std::size_t shared = 0;
+  for (std::size_t r = 0; r < original_rows.size(); ++r) {
+    if (affected[r]) {
+      EXPECT_NE(added_rows[r], original_rows[r]) << "affected domain " << r;
+    } else {
+      EXPECT_EQ(added_rows[r], original_rows[r]) << "unaffected domain " << r;
+      ++shared;
+    }
+  }
+  EXPECT_GT(shared, 0u) << "a travel-only add must share untouched rows";
+
+  // Click feedback (WithPriors) shares every row.
+  auto clone2 = original.Clone();
+  FeedbackStore store;
+  store.RecordImpression(0);
+  store.RecordClick(0);
+  ASSERT_TRUE(clone2->ApplyFeedback(store).ok());
+  EXPECT_NE(&clone2->classifier(), &original.classifier());
+  EXPECT_EQ(RowAddresses(clone2->classifier()), original_rows);
+
+  // The original still classifies and serializes bitwise as before.
+  before.ExpectEqual(ObservableState::Capture(original));
+  EXPECT_EQ(SerializeConditionals(original.classifier().conditionals()),
+            serialized_before);
+  EXPECT_EQ(RowAddresses(original.classifier()), original_rows);
 }
 
 TEST(CloneAliasingTest, ReadersOnRetainedSnapshotWhileWriterMutates) {

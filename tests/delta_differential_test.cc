@@ -2,18 +2,22 @@
 /// \brief The delta write path's exactness guarantee, checked end to end:
 /// a system mutated with `delta_mutations = true` is BITWISE equal to one
 /// mutated with the legacy full path, over randomized AddSchema/feedback
-/// sequences and at every rebuild thread width.
+/// sequences, at every rebuild thread width, on both the dense build and
+/// sparse_build.
 ///
 /// "Bitwise" is literal — every comparison below is EXPECT_EQ on doubles,
 /// never EXPECT_NEAR. The delta path earns this because each of its three
 /// shortcuts is exact, not approximate:
-///   * the similarity matrix extend-constructor copies the old n x n block
-///     and computes only the new row/column of a pure function;
+///   * the similarity matrix / neighbor graph extend-constructors copy the
+///     old block or edges and add only the new schema's row — the Jaccard
+///     row the incremental assignment already computed, which is the same
+///     double because Jaccard's AND/OR popcounts are symmetric;
 ///   * Mediator::BuildForDomain depends only on the domain's own members,
 ///     so untouched domains' mediations can be shared verbatim;
 ///   * the factored classifier's per-domain conditionals depend only on
 ///     the domain's membership rows, and UpdateDomains routes affected
-///     domains through the same canonical PrecomputeDomain as Build().
+///     domains through the same canonical row precompute as Build() and
+///     shares every other domain's row.
 /// Any drift here — a forgotten affected domain, a reordered float
 /// accumulation — fails this test immediately.
 
@@ -74,12 +78,33 @@ void ExpectBitwiseEqual(const IntegrationSystem& a,
     EXPECT_TRUE(a.features()[i] == b.features()[i]) << "feature row " << i;
   }
 
-  // Similarity matrix: the extended copy vs the full refill.
-  ASSERT_EQ(a.similarities().size(), b.similarities().size());
-  for (std::size_t i = 0; i < a.similarities().size(); ++i) {
-    for (std::size_t j = 0; j < a.similarities().size(); ++j) {
-      EXPECT_EQ(a.similarities().At(i, j), b.similarities().At(i, j))
-          << "sims(" << i << ", " << j << ")";
+  // Similarity matrix (dense build) or neighbor graph (sparse_build): the
+  // extended copy vs the full refill.
+  ASSERT_EQ(a.has_similarities(), b.has_similarities());
+  if (a.has_similarities()) {
+    ASSERT_EQ(a.similarities().size(), b.similarities().size());
+    for (std::size_t i = 0; i < a.similarities().size(); ++i) {
+      for (std::size_t j = 0; j < a.similarities().size(); ++j) {
+        EXPECT_EQ(a.similarities().At(i, j), b.similarities().At(i, j))
+            << "sims(" << i << ", " << j << ")";
+      }
+    }
+  }
+  ASSERT_EQ(a.has_neighbor_graph(), b.has_neighbor_graph());
+  if (a.has_neighbor_graph()) {
+    const NeighborGraph& ga = a.neighbor_graph();
+    const NeighborGraph& gb = b.neighbor_graph();
+    ASSERT_EQ(ga.num_nodes(), gb.num_nodes());
+    ASSERT_EQ(ga.num_edges(), gb.num_edges());
+    for (std::uint32_t i = 0; i < ga.num_nodes(); ++i) {
+      EXPECT_EQ(ga.NonEmpty(i), gb.NonEmpty(i)) << "node " << i;
+      const auto [ia, ea] = ga.Row(i);
+      const auto [ib, eb] = gb.Row(i);
+      ASSERT_EQ(ea - ia, eb - ib) << "degree of node " << i;
+      for (std::ptrdiff_t k = 0; k < ea - ia; ++k) {
+        EXPECT_EQ(ia[k].id, ib[k].id) << "row " << i << " entry " << k;
+        EXPECT_EQ(ia[k].sim, ib[k].sim) << "row " << i << " entry " << k;
+      }
     }
   }
 
@@ -130,12 +155,13 @@ void ExpectBitwiseEqual(const IntegrationSystem& a,
   }
 }
 
-class DeltaDifferentialTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(DeltaDifferentialTest, RandomizedMutationsMatchScratchBitwise) {
-  const std::size_t width = GetParam();
-
-  auto built = IntegrationSystem::Build(BaseCorpus());
+/// Applies one randomized but reproducible interleaving of schema adds and
+/// implicit click feedback to a delta and a full-path clone of the same
+/// built system, comparing them bitwise along the way.
+void RunRandomizedMutations(std::size_t width, bool sparse_build) {
+  SystemOptions options;
+  options.sparse_build = sparse_build;
+  auto built = IntegrationSystem::Build(BaseCorpus(), options);
   ASSERT_TRUE(built.ok()) << built.status();
 
   // Two clones of the SAME built system, so both start from bit-identical
@@ -147,8 +173,6 @@ TEST_P(DeltaDifferentialTest, RandomizedMutationsMatchScratchBitwise) {
   scratch->set_delta_mutations(false);
   scratch->set_num_threads(width);
 
-  // Randomized but reproducible interleaving of schema adds and implicit
-  // click feedback, applied identically to both systems.
   std::mt19937 rng(0x5eedu + static_cast<unsigned>(width));
   std::size_t next_extra = kBaseSchemas;
   int checked = 0;
@@ -179,6 +203,16 @@ TEST_P(DeltaDifferentialTest, RandomizedMutationsMatchScratchBitwise) {
     }
   }
   ExpectBitwiseEqual(*delta, *scratch);
+}
+
+class DeltaDifferentialTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(DeltaDifferentialTest, RandomizedMutationsMatchScratchBitwise) {
+  RunRandomizedMutations(GetParam(), /*sparse_build=*/false);
+}
+
+TEST_P(DeltaDifferentialTest, SparseBuildMutationsMatchScratchBitwise) {
+  RunRandomizedMutations(GetParam(), /*sparse_build=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadWidths, DeltaDifferentialTest,

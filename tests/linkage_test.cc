@@ -42,6 +42,26 @@ TEST(SimilarityMatrixTest, EmptyVectorSelfSimilarityIsZero) {
   EXPECT_NEAR(sims.At(0, 0), 1.0, 1e-9);
 }
 
+TEST(SimilarityMatrixTest, ExtendMatchesFullBuild) {
+  std::vector<DynamicBitset> f = MakeFeatures();
+  DynamicBitset extra(8);
+  for (std::size_t i : {1u, 3u, 5u, 7u}) extra.Set(i);
+  const SimilarityMatrix base(f);
+  std::vector<double> row;
+  for (const DynamicBitset& g : f) {
+    row.push_back(DynamicBitset::Jaccard(extra, g));
+  }
+  f.push_back(extra);
+  const SimilarityMatrix full(f);
+  const SimilarityMatrix extended(base, f, row);
+  ASSERT_EQ(extended.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      EXPECT_EQ(extended.At(i, j), full.At(i, j)) << i << "," << j;
+    }
+  }
+}
+
 TEST(LinkageKindTest, NamesMatchThesisFigures) {
   EXPECT_EQ(LinkageKindName(LinkageKind::kAverage), "Avg. Jaccard");
   EXPECT_EQ(LinkageKindName(LinkageKind::kMin), "Min. Jaccard");

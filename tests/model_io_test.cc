@@ -42,7 +42,10 @@ TEST(ModelIoTest, ConditionalsRoundTripBitExact) {
   conds[0].q1 = {0.1, 1.0 / 3.0, 0.999999999999};
   conds[1].prior = 1e-17;
   conds[1].q1 = {0.5, 0.25, 0.75};
-  const auto parsed = ParseConditionals(SerializeConditionals(conds));
+  const NaiveBayesClassifier clf = NaiveBayesClassifier::FromConditionals(
+      conds, std::vector<bool>(conds.size(), false), {});
+  const auto parsed = ParseConditionals(SerializeConditionals(
+      clf.conditionals()));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   ASSERT_EQ(parsed->size(), 2u);
   for (std::size_t r = 0; r < 2; ++r) {

@@ -199,14 +199,26 @@ TEST(NeighborGraphTest, LshEdgesAreExactSubsetOfBruteForce) {
 TEST(NeighborGraphTest, ExtendMatchesFullRebuild) {
   Rng rng(61);
   const auto features = RandomFeatures(rng, 50, 64);
-  const std::vector<DynamicBitset> prefix(features.begin(),
-                                          features.begin() + 35);
+  std::vector<DynamicBitset> prefix(features.begin(), features.begin() + 35);
   NeighborGraphOptions opts;
-  const auto base = NeighborGraph::Build(prefix, opts);
-  ASSERT_TRUE(base.ok());
-  const NeighborGraph extended(*base, features);
-  ASSERT_EQ(extended.num_nodes(), features.size());
-  ExpectMatchesOracle(extended, features, 0.0, "extended");
+  auto built = NeighborGraph::Build(prefix, opts);
+  ASSERT_TRUE(built.ok());
+  NeighborGraph graph = std::move(*built);
+  // One schema at a time, each with its Jaccard row computed as
+  // IncrementalClusterer computes it: newcomer first.
+  while (prefix.size() < features.size()) {
+    const DynamicBitset& next = features[prefix.size()];
+    std::vector<double> row;
+    for (const DynamicBitset& f : prefix) {
+      row.push_back(DynamicBitset::Jaccard(next, f));
+    }
+    const std::uint64_t verified = graph.stats().candidates_verified;
+    prefix.push_back(next);
+    graph = NeighborGraph(graph, prefix, row);
+    EXPECT_EQ(graph.stats().candidates_verified, verified + row.size());
+  }
+  ASSERT_EQ(graph.num_nodes(), features.size());
+  ExpectMatchesOracle(graph, features, 0.0, "extended");
 }
 
 TEST(NeighborGraphTest, RejectsBadOptions) {
