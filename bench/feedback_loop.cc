@@ -209,7 +209,8 @@ void IncrementalRound() {
   FeatureVectorizer vectorizer(prep.lexicon);
   IncrementalOptions opts;
   opts.tau_c_sim = 0.25;
-  IncrementalClusterer inc(prep.tokenizer, vectorizer, prep.features,
+  IncrementalClusterer inc(prep.tokenizer, vectorizer,
+                           ChunkedVector<DynamicBitset>(prep.features),
                            point.model, opts);
   std::size_t joined = 0, opened = 0;
   for (std::size_t i = 0; i < ss.size(); ++i) {

@@ -19,17 +19,33 @@
 /// O(affected domains); `--check` turns that into a PASS/FAIL gate for CI
 /// (refreshed domains must stay within a small per-add budget).
 ///
+/// `--sparse` runs the web-shape lane instead: the many-domains generator
+/// under sparse_build at D and 4D domains (~7 schemas each), one held-out
+/// schema of each of the first N domains streamed back in through clone +
+/// AddSchema. It reports p50 clone+add time at both sizes, the postings
+/// entries each add read (paygo.incremental.postings_visited) against the
+/// n Jaccard evaluations a scan would make, and how many chunks of the
+/// corpus and feature stores each add copied. Its `--check` gates on those
+/// counts, which are free of timing noise: postings visited per add at 4D
+/// at most 1.5x those at D, and at most one chunk copied per store per add.
+///
 /// Output: JSON on stdout (and, unless --json-out is empty, the same
 /// object wrapped with provenance into BENCH_write.json — schema in
 /// bench/README.md). Flags:
-///   --corpora 500,2000   comma-separated corpus sizes
+///   --corpora 500,2000   comma-separated corpus sizes (with --sparse:
+///                        domain counts, default 300,1200)
 ///   --adds N             schemas streamed per corpus (default 40)
-///   --smoke              tiny preset (one 120-schema corpus, 8 adds)
-///   --check              exit 1 if classifier refresh work is not O(delta)
+///   --smoke              tiny preset (one 120-schema corpus, 8 adds; with
+///                        --sparse: 60 and 240 domains, 8 adds)
+///   --sparse             the web-shape lane described above
+///   --check              exit 1 if the write path is not O(delta)
 ///   --json-out FILE      machine-readable output ("" disables)
 ///   --human              readable summary instead of JSON
+/// A malformed or zero --corpora / --adds value exits 2, as an unknown
+/// flag does.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -44,6 +60,7 @@
 #include "obs/stats.h"
 #include "serve/paygo_server.h"
 #include "synth/ddh_generator.h"
+#include "synth/many_domains.h"
 
 namespace {
 
@@ -52,11 +69,26 @@ using Clock = std::chrono::steady_clock;
 
 struct BenchOptions {
   std::vector<std::size_t> corpora = {500, 2000};
+  bool corpora_set = false;
   std::size_t adds = 40;
+  bool adds_set = false;
+  bool smoke = false;
+  bool sparse = false;
   bool check = false;
   std::string json_out = "BENCH_write.json";  // "" disables the file
   bool human = false;
 };
+
+/// Parses a positive decimal integer, the whole of \p text; false on
+/// anything else (empty, sign, trailing bytes, zero, overflow).
+bool ParsePositive(std::string_view text, std::size_t* out) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value == 0) return false;
+  *out = value;
+  return true;
+}
 
 double MicrosSince(Clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(Clock::now() - t0)
@@ -88,11 +120,29 @@ struct LatencySummary {
   }
 };
 
+/// Chunks of \p parent's store that \p child no longer shares.
+template <typename T>
+std::size_t ChunksCopied(const ChunkedVector<T>& parent,
+                         const ChunkedVector<T>& child) {
+  std::size_t copied = 0;
+  for (std::size_t c = 0; c < parent.num_chunks(); ++c) {
+    if (child.ChunkAddress(c) != parent.ChunkAddress(c)) ++copied;
+  }
+  return copied;
+}
+
+/// The most chunks one add copied, per per-schema store.
+struct ChunkCopies {
+  std::size_t corpus = 0;
+  std::size_t features = 0;
+};
+
 /// The writer's per-update work, measured end to end: clone the served
-/// system, fold one schema in, adopt the draft.
+/// system, fold one schema in, adopt the draft. When \p copies is set,
+/// each add's chunk copies are counted outside the timed region.
 std::vector<double> RunChurn(const IntegrationSystem& base, bool delta_mode,
                              const SchemaCorpus& pool, std::size_t first,
-                             std::size_t adds) {
+                             std::size_t adds, ChunkCopies* copies = nullptr) {
   auto sys = base.Clone();
   sys->set_delta_mutations(delta_mode);
   std::vector<double> us;
@@ -107,9 +157,117 @@ std::vector<double> RunChurn(const IntegrationSystem& base, bool delta_mode,
       std::cerr << "AddSchema failed: " << added.status() << "\n";
       std::exit(1);
     }
+    if (copies != nullptr) {
+      copies->corpus = std::max(
+          copies->corpus,
+          ChunksCopied(sys->corpus().entries(), draft->corpus().entries()));
+      copies->features = std::max(
+          copies->features, ChunksCopied(sys->features(), draft->features()));
+    }
     sys = std::move(draft);
   }
   return us;
+}
+
+/// One sparse-lane size: a many-domains corpus minus one held-out schema
+/// from each of the first \p adds domains, which stream back in.
+struct SparsePoint {
+  std::size_t domains = 0;
+  std::size_t schemas = 0;  // the built corpus
+  LatencySummary clone_add;
+  double postings_per_add = 0.0;
+  ChunkCopies copies;
+};
+
+SparsePoint RunSparsePoint(std::size_t num_domains, std::size_t adds) {
+  ManyDomainOptions gen;
+  gen.num_domains = num_domains;
+  const SchemaCorpus all = MakeManyDomainCorpus(gen);
+  SchemaCorpus base(all.name());
+  SchemaCorpus held("held-out");
+  // Schemas are generated domain by domain; hold out each domain's last.
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const bool last_of_domain =
+        i + 1 == all.size() || all.labels(i + 1) != all.labels(i);
+    if (last_of_domain && held.size() < adds) {
+      held.Add(all.schema(i), all.labels(i));
+    } else {
+      base.Add(all.schema(i), all.labels(i));
+    }
+  }
+  if (held.size() < adds) {
+    std::cerr << "--sparse: " << num_domains << " domains hold fewer than "
+              << adds << " adds\n";
+    std::exit(2);
+  }
+  SystemOptions options;
+  options.sparse_build = true;
+  SparsePoint point;
+  point.domains = num_domains;
+  point.schemas = base.size();
+  auto built = IntegrationSystem::Build(std::move(base), options);
+  if (!built.ok()) {
+    std::cerr << built.status() << "\n";
+    std::exit(1);
+  }
+  Counter* visited =
+      StatsRegistry::Global().GetCounter("paygo.incremental.postings_visited");
+  visited->Reset();
+  point.clone_add = LatencySummary::Of(
+      RunChurn(**built, /*delta_mode=*/true, held, 0, adds, &point.copies));
+  point.postings_per_add =
+      static_cast<double>(visited->value()) / static_cast<double>(adds);
+  return point;
+}
+
+/// The --sparse lane: the first and last --corpora sizes are compared.
+bool RunSparseLane(const BenchOptions& opts, std::ostringstream& results,
+                   std::ostringstream& human) {
+  std::vector<SparsePoint> points;
+  for (std::size_t domains : opts.corpora) {
+    points.push_back(RunSparsePoint(domains, opts.adds));
+  }
+  const SparsePoint& small = points.front();
+  const SparsePoint& large = points.back();
+  const double postings_growth =
+      small.postings_per_add > 0.0
+          ? large.postings_per_add / small.postings_per_add
+          : 0.0;
+  const double p50_growth =
+      small.clone_add.p50_us > 0.0
+          ? large.clone_add.p50_us / small.clone_add.p50_us
+          : 0.0;
+  std::size_t max_copied = 0;
+  for (const SparsePoint& p : points) {
+    max_copied = std::max({max_copied, p.copies.corpus, p.copies.features});
+  }
+  const bool ok = postings_growth <= 1.5 && max_copied <= 1;
+
+  results << "{";
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const SparsePoint& p = points[i];
+    results << (i ? ", " : "") << "\"sparse_" << p.domains
+            << "\": {\"schemas\": " << p.schemas << ", \"adds\": " << opts.adds
+            << ", \"clone_add\": " << p.clone_add.ToJson()
+            << ", \"postings_visited_per_add\": " << p.postings_per_add
+            << ", \"jaccard_scan_per_add\": " << p.schemas
+            << ", \"max_chunks_copied\": {\"corpus\": " << p.copies.corpus
+            << ", \"features\": " << p.copies.features << "}}";
+    human << "sparse " << p.domains << " domains (" << p.schemas
+          << " schemas), " << opts.adds << " adds: clone+add p50 "
+          << p.clone_add.p50_us << "us  p99 " << p.clone_add.p99_us
+          << "us; postings read/add " << p.postings_per_add << " (scan: "
+          << p.schemas << " Jaccards); chunks copied/add <= corpus "
+          << p.copies.corpus << ", features " << p.copies.features << "\n";
+  }
+  results << ", \"growth\": {\"postings_visited\": " << postings_growth
+          << ", \"clone_add_p50\": " << p50_growth
+          << ", \"o_delta\": " << (ok ? "true" : "false") << "}}";
+  human << "growth " << large.schemas << "/" << small.schemas
+        << " schemas: postings/add x" << postings_growth << ", p50 x"
+        << p50_growth << " (" << (ok ? "O(delta) OK" : "O(delta) VIOLATED")
+        << ")\n";
+  return ok;
 }
 
 /// Streams the same adds through a live server; staleness is how long a
@@ -145,48 +303,15 @@ std::vector<double> RunServedStaleness(const IntegrationSystem& base,
   return us;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  BenchOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--corpora" && next()) {
-      opts.corpora.clear();
-      std::stringstream ss(argv[i]);
-      std::string piece;
-      while (std::getline(ss, piece, ',')) {
-        opts.corpora.push_back(
-            static_cast<std::size_t>(std::atoll(piece.c_str())));
-      }
-    } else if (arg == "--adds" && next()) {
-      opts.adds = static_cast<std::size_t>(std::atoi(argv[i]));
-    } else if (arg == "--smoke") {
-      opts.corpora = {120};
-      opts.adds = 8;
-    } else if (arg == "--check") {
-      opts.check = true;
-    } else if (arg == "--json-out" && next()) {
-      opts.json_out = argv[i];
-    } else if (arg == "--human") {
-      opts.human = true;
-    } else {
-      std::cerr << "unknown flag '" << arg << "'\n";
-      return 2;
-    }
-  }
-
+/// The DDH lane: delta vs full path, then served staleness, per corpus.
+bool RunDenseLane(const BenchOptions& opts, std::ostringstream& results,
+                  std::ostringstream& human) {
   Counter* refreshed =
       StatsRegistry::Global().GetCounter("paygo.classifier.domains_refreshed");
   Counter* reused =
       StatsRegistry::Global().GetCounter("paygo.classifier.domains_reused");
 
   bool check_failed = false;
-  std::ostringstream results;
-  std::ostringstream human;
   results << "{";
   bool first_corpus = true;
   for (std::size_t corpus_size : opts.corpora) {
@@ -200,7 +325,7 @@ int main(int argc, char** argv) {
     auto built = IntegrationSystem::Build(std::move(base_corpus));
     if (!built.ok()) {
       std::cerr << built.status() << "\n";
-      return 1;
+      std::exit(1);
     }
 
     const std::vector<double> full_us =
@@ -260,6 +385,73 @@ int main(int argc, char** argv) {
           << (ok ? "O(delta) OK" : "O(delta) VIOLATED") << ")\n";
   }
   results << "}";
+  return !check_failed;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  BenchOptions opts;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    auto next = [&]() -> const char* {
+      return i + 1 < argc ? argv[++i] : nullptr;
+    };
+    if (arg == "--corpora" && next()) {
+      opts.corpora.clear();
+      opts.corpora_set = true;
+      std::stringstream ss(argv[i]);
+      std::string piece;
+      while (std::getline(ss, piece, ',')) {
+        std::size_t size = 0;
+        if (!ParsePositive(piece, &size)) {
+          std::cerr << "--corpora: '" << piece
+                    << "' is not a positive integer\n";
+          return 2;
+        }
+        opts.corpora.push_back(size);
+      }
+      if (opts.corpora.empty()) {
+        std::cerr << "--corpora needs at least one size\n";
+        return 2;
+      }
+    } else if (arg == "--adds" && next()) {
+      if (!ParsePositive(argv[i], &opts.adds)) {
+        std::cerr << "--adds: '" << argv[i]
+                  << "' is not a positive integer\n";
+        return 2;
+      }
+      opts.adds_set = true;
+    } else if (arg == "--smoke") {
+      opts.smoke = true;
+    } else if (arg == "--sparse") {
+      opts.sparse = true;
+    } else if (arg == "--check") {
+      opts.check = true;
+    } else if (arg == "--json-out" && next()) {
+      opts.json_out = argv[i];
+    } else if (arg == "--human") {
+      opts.human = true;
+    } else {
+      std::cerr << "unknown flag '" << arg << "'\n";
+      return 2;
+    }
+  }
+
+  if (opts.sparse) {
+    if (!opts.corpora_set) {
+      opts.corpora = opts.smoke ? std::vector<std::size_t>{60, 240}
+                                : std::vector<std::size_t>{300, 1200};
+    }
+  } else if (opts.smoke && !opts.corpora_set) {
+    opts.corpora = {120};
+  }
+  if (opts.smoke && !opts.adds_set) opts.adds = 8;
+
+  std::ostringstream results;
+  std::ostringstream human;
+  const bool ok = opts.sparse ? RunSparseLane(opts, results, human)
+                              : RunDenseLane(opts, results, human);
 
   if (!opts.json_out.empty()) {
     const auto ts_ms =
@@ -272,7 +464,9 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < opts.corpora.size(); ++i) {
       out << (i ? ", " : "") << opts.corpora[i];
     }
-    out << "], \"adds\": " << opts.adds << "}, \"results\": "
+    out << "], \"adds\": " << opts.adds
+        << ", \"sparse\": " << (opts.sparse ? "true" : "false")
+        << "}, \"results\": "
         << results.str() << "}\n";
     if (!out) {
       std::cerr << "failed writing " << opts.json_out << "\n";
@@ -286,9 +480,12 @@ int main(int argc, char** argv) {
   } else {
     std::cout << results.str() << "\n";
   }
-  if (opts.check && check_failed) {
-    std::cerr << "FAIL: classifier refresh work exceeded the O(delta) "
-                 "budget\n";
+  if (opts.check && !ok) {
+    std::cerr << (opts.sparse
+                      ? "FAIL: postings read per add grew with n, or an "
+                        "add copied more than one chunk of a store\n"
+                      : "FAIL: classifier refresh work exceeded the "
+                        "O(delta) budget\n");
     return 1;
   }
   return 0;

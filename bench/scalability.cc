@@ -118,16 +118,22 @@ int main() {
   // engine's work is ~linear in n while dense stays quadratic. ---
   std::cout << "\n=== Web-shape scaling: many small domains (sparse "
                "engine's regime) ===\n";
-  TablePrinter web({"Domains", "Schemas", "dim L", "DenseMatrix+HAC(s)",
-                    "SparseHAC(s)"});
+  TablePrinter web({"Domains", "Schemas", "dim L", "Lexicon(s)",
+                    "Features(s)", "DenseMatrix+HAC(s)", "SparseHAC(s)"});
   for (std::size_t domains : {100u, 300u, 600u, 1200u, 2400u}) {
     ManyDomainOptions gen;
     gen.num_domains = domains;
     const SchemaCorpus corpus = MakeManyDomainCorpus(gen);
+    // Alg. 1 is timed as in the DDH sweep: the lexicon, then the term
+    // index plus the feature vectors.
+    WallTimer t_alg1;
     Tokenizer tok;
     const Lexicon lexicon = Lexicon::Build(corpus, tok);
+    const double t_lex = t_alg1.ElapsedSeconds();
+    t_alg1.Restart();
     FeatureVectorizer vec(lexicon);
     const auto features = vec.VectorizeCorpus();
+    const double t_feat = t_alg1.ElapsedSeconds();
 
     // Dense comparison capped: it is already 5+ seconds at 600 domains
     // and quadratic beyond.
@@ -156,7 +162,8 @@ int main() {
       return 1;
     }
     web.AddRow({std::to_string(domains), std::to_string(corpus.size()),
-                std::to_string(lexicon.dim()),
+                std::to_string(lexicon.dim()), FormatDouble(t_lex, 3),
+                FormatDouble(t_feat, 3),
                 t_dense < 0 ? "-" : FormatDouble(t_dense, 3),
                 FormatDouble(t_sparse, 3)});
   }

@@ -144,7 +144,7 @@ Status CheckExhaustiveBudget(std::uint32_t domain, std::size_t num_uncertain,
 
 Result<DomainConditionals> ComputeDomainConditionals(
     const DomainModel& model, std::uint32_t domain,
-    const std::vector<DynamicBitset>& features, std::size_t num_schemas_total,
+    FeatureRows features, std::size_t num_schemas_total,
     ClassifierEngine engine, std::size_t max_uncertain_exhaustive) {
   const std::size_t dim = features.empty() ? 0 : features[0].size();
   DomainConditionals out;
@@ -233,7 +233,7 @@ Result<double> ComputeDomainPrior(const DomainModel& model,
 }
 
 Result<NaiveBayesClassifier> NaiveBayesClassifier::Build(
-    const DomainModel& model, const std::vector<DynamicBitset>& features,
+    const DomainModel& model, FeatureRows features,
     std::size_t num_schemas_total, const ClassifierOptions& options) {
   if (features.size() != model.num_schemas()) {
     return Status::InvalidArgument(
@@ -309,7 +309,7 @@ void NaiveBayesClassifier::RefreshBase(std::size_t r) {
 
 Result<NaiveBayesClassifier> NaiveBayesClassifier::UpdateDomains(
     const NaiveBayesClassifier& base, const DomainModel& model,
-    const std::vector<DynamicBitset>& features, std::size_t num_schemas_total,
+    FeatureRows features, std::size_t num_schemas_total,
     const std::vector<std::uint32_t>& affected_domains) {
   if (features.size() != model.num_schemas()) {
     return Status::InvalidArgument(

@@ -53,6 +53,7 @@
 
 #include "cluster/probabilistic_assignment.h"
 #include "util/bitset.h"
+#include "util/feature_rows.h"
 #include "util/status.h"
 
 namespace paygo {
@@ -160,7 +161,7 @@ class NaiveBayesClassifier {
   /// Builds the classifier from the domain model and the schema feature
   /// vectors (corpus order). \p num_schemas_total is |S| (Equation 5.5).
   static Result<NaiveBayesClassifier> Build(
-      const DomainModel& model, const std::vector<DynamicBitset>& features,
+      const DomainModel& model, FeatureRows features,
       std::size_t num_schemas_total, const ClassifierOptions& options = {});
 
   /// Wraps externally computed conditionals (used by the approximate
@@ -184,7 +185,7 @@ class NaiveBayesClassifier {
   /// or membership probabilities changed.
   static Result<NaiveBayesClassifier> UpdateDomains(
       const NaiveBayesClassifier& base, const DomainModel& model,
-      const std::vector<DynamicBitset>& features,
+      FeatureRows features,
       std::size_t num_schemas_total,
       const std::vector<std::uint32_t>& affected_domains);
 
@@ -280,7 +281,7 @@ class NaiveBayesClassifier {
 /// tests (the exhaustive/factored agreement property) and the perf bench.
 Result<DomainConditionals> ComputeDomainConditionals(
     const DomainModel& model, std::uint32_t domain,
-    const std::vector<DynamicBitset>& features, std::size_t num_schemas_total,
+    FeatureRows features, std::size_t num_schemas_total,
     ClassifierEngine engine, std::size_t max_uncertain_exhaustive);
 
 /// Computes only Pr(D_r) for one domain — the cheap O(|S-hat|^2) slice of

@@ -101,16 +101,16 @@ struct ClusterState {
   std::vector<DynamicBitset> or_bits;
   bool track_bits = false;
 
-  void Init(std::size_t n, const std::vector<DynamicBitset>& features,
-            bool need_bits) {
+  void Init(std::size_t n, FeatureRows features, bool need_bits) {
     members.resize(n);
     active.assign(n, true);
     version.assign(n, 0);
     track_bits = need_bits;
     for (std::uint32_t i = 0; i < n; ++i) members[i] = {i};
     if (need_bits) {
-      and_bits = features;
-      or_bits = features;
+      and_bits.reserve(n);
+      for (std::uint32_t i = 0; i < n; ++i) and_bits.push_back(features[i]);
+      or_bits = and_bits;
     }
   }
 
@@ -256,7 +256,7 @@ ConstraintState BuildConstraintState(std::size_t n,
   return cs;
 }
 
-Result<HacResult> RunNaive(const std::vector<DynamicBitset>& features,
+Result<HacResult> RunNaive(FeatureRows features,
                            const SimilarityMatrix& sims,
                            const HacOptions& options) {
   PAYGO_TRACE_SPAN("hac.run");
@@ -319,7 +319,7 @@ Result<HacResult> RunNaive(const std::vector<DynamicBitset>& features,
   return st.Finish(std::move(merges));
 }
 
-Result<HacResult> RunFast(const std::vector<DynamicBitset>& features,
+Result<HacResult> RunFast(FeatureRows features,
                           const SimilarityMatrix& sims,
                           const HacOptions& options) {
   PAYGO_TRACE_SPAN("hac.run");
@@ -798,7 +798,7 @@ Result<HacResult> RunSparseGraph(const NeighborGraph& graph,
 /// Features-in sparse entry point: builds the exact all-nonzero neighbor
 /// graph (the bitwise-equality contract; see neighbor_graph.h) and runs
 /// the graph engine over it.
-Result<HacResult> RunSparse(const std::vector<DynamicBitset>& features,
+Result<HacResult> RunSparse(FeatureRows features,
                             const HacOptions& options) {
   NeighborGraphOptions graph_options;
   graph_options.mode = NeighborGraphMode::kExact;
@@ -830,7 +830,7 @@ std::size_t HacResult::NumSingletons() const {
   return c;
 }
 
-Result<HacResult> Hac::Run(const std::vector<DynamicBitset>& features,
+Result<HacResult> Hac::Run(FeatureRows features,
                            const SimilarityMatrix& sims,
                            const HacOptions& options) {
   if (features.size() != sims.size()) {
@@ -870,7 +870,7 @@ Result<HacResult> Hac::Run(const std::vector<DynamicBitset>& features,
   return RunFast(features, sims, options);
 }
 
-Result<HacResult> Hac::Run(const std::vector<DynamicBitset>& features,
+Result<HacResult> Hac::Run(FeatureRows features,
                            const HacOptions& options) {
   if (options.use_sparse_engine) {
     // The whole point of the sparse engine is skipping the dense O(n^2)

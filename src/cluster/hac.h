@@ -18,6 +18,7 @@
 
 #include "cluster/linkage.h"
 #include "util/bitset.h"
+#include "util/feature_rows.h"
 #include "util/status.h"
 
 namespace paygo {
@@ -102,12 +103,12 @@ class Hac {
   /// precomputed \p sims must describe the same schemas. \p features is
   /// only consulted by the Total-Jaccard linkage (cluster AND/OR
   /// summaries); the other linkages work from \p sims alone.
-  static Result<HacResult> Run(const std::vector<DynamicBitset>& features,
+  static Result<HacResult> Run(FeatureRows features,
                                const SimilarityMatrix& sims,
                                const HacOptions& options);
 
   /// Convenience overload that computes the similarity matrix itself.
-  static Result<HacResult> Run(const std::vector<DynamicBitset>& features,
+  static Result<HacResult> Run(FeatureRows features,
                                const HacOptions& options);
 
   /// Sparse engine over a prebuilt NeighborGraph (use_sparse_engine is

@@ -27,10 +27,12 @@
 #include "cluster/hac.h"
 #include "cluster/linkage.h"
 #include "cluster/probabilistic_assignment.h"
+#include "schema/feature_postings.h"
 #include "schema/feature_vector.h"
 #include "schema/schema.h"
 #include "text/tokenizer.h"
 #include "util/bitset.h"
+#include "util/chunked_vector.h"
 #include "util/status.h"
 
 namespace paygo {
@@ -51,6 +53,9 @@ struct IncrementalAddResult {
   std::uint32_t schema_id = 0;
   /// (domain, probability) memberships, as Algorithm 3 would assign.
   std::vector<std::pair<std::uint32_t, double>> memberships;
+  /// The hard cluster the schema joined (its most similar qualifying
+  /// cluster, or the new singleton's id when created_new_domain).
+  std::uint32_t home_cluster = 0;
   /// True when no existing cluster was similar enough and a new singleton
   /// domain was created.
   bool created_new_domain = false;
@@ -59,35 +64,54 @@ struct IncrementalAddResult {
 };
 
 /// \brief Folds newly arriving schemas into an existing clustering.
+///
+/// Its state is three copy-on-write stores: the feature vectors (chunk
+/// shared), their inverted index (term lists shared) and the domain model,
+/// which an add extends in place. Constructing one from a system's
+/// components costs O(#chunks + dim L) pointer copies, and an add costs
+/// O(postings of the newcomer's terms + #clusters), not O(corpus).
 class IncrementalClusterer {
  public:
-  /// Takes over a built model. \p vectorizer and \p tokenizer must outlive
-  /// the clusterer; \p features are the existing schemas' vectors (copied).
+  /// Takes over a built model and indexes \p features (copying a
+  /// ChunkedVector shares its chunks). \p vectorizer and \p tokenizer
+  /// must outlive the clusterer.
   IncrementalClusterer(const Tokenizer& tokenizer,
                        const FeatureVectorizer& vectorizer,
-                       std::vector<DynamicBitset> features,
-                       const DomainModel& model,
+                       ChunkedVector<DynamicBitset> features,
+                       DomainModel model, IncrementalOptions options = {});
+
+  /// Same, adopting \p postings, an index of exactly \p features (the
+  /// one IntegrationSystem keeps across adds).
+  IncrementalClusterer(const Tokenizer& tokenizer,
+                       const FeatureVectorizer& vectorizer,
+                       ChunkedVector<DynamicBitset> features,
+                       FeaturePostings postings, DomainModel model,
                        IncrementalOptions options = {});
 
-  /// Adds one schema; returns its assignment.
+  /// Adds one schema; returns its assignment. On error nothing changes.
   Result<IncrementalAddResult> AddSchema(const Schema& schema);
 
-  /// The current domain model (rebuilt lazily after additions).
-  const DomainModel& model() const;
+  /// The current domain model, added schemas included.
+  const DomainModel& model() const { return model_; }
 
   /// Feature vectors including added schemas (corpus order).
-  const std::vector<DynamicBitset>& features() const { return features_; }
+  const ChunkedVector<DynamicBitset>& features() const { return features_; }
+
+  /// The inverted index of features().
+  const FeaturePostings& postings() const { return postings_; }
 
   /// s_sim of the most recently added schema against every schema before
-  /// it (corpus order): Jaccard(new, features()[j]). The delta write path
-  /// hands this row to the similarity matrix / neighbor graph extension so
-  /// an add scans the corpus once, not twice. Empty before the first add.
+  /// it (corpus order): Jaccard(new, features()[j]), read off the postings
+  /// and zero for schemas sharing no term. The delta write path hands this
+  /// row to the similarity matrix / neighbor graph extension. Empty before
+  /// the first add.
   const std::vector<double>& last_similarities() const { return last_sims_; }
 
-  /// Moves the feature vectors out (corpus order), leaving the clusterer
-  /// drained — the delta write path's way to adopt them without an
-  /// O(#schemas * dim) copy. Call last.
-  std::vector<DynamicBitset> TakeFeatures() { return std::move(features_); }
+  /// Move the state out, leaving the clusterer drained — how the write
+  /// path adopts it without a copy. Call last.
+  ChunkedVector<DynamicBitset> TakeFeatures() { return std::move(features_); }
+  FeaturePostings TakePostings() { return std::move(postings_); }
+  DomainModel TakeModel() { return std::move(model_); }
 
   /// Number of schemas added since construction.
   std::size_t num_added() const { return num_added_; }
@@ -105,13 +129,10 @@ class IncrementalClusterer {
   const Tokenizer& tokenizer_;
   const FeatureVectorizer& vectorizer_;
   IncrementalOptions options_;
-  std::vector<DynamicBitset> features_;
+  ChunkedVector<DynamicBitset> features_;
+  FeaturePostings postings_;
+  DomainModel model_;
   std::vector<double> last_sims_;
-  // Mutable clustering state.
-  std::vector<std::vector<std::uint32_t>> clusters_;
-  std::vector<std::vector<std::pair<std::uint32_t, double>>> schema_domains_;
-  mutable DomainModel cached_model_;
-  mutable bool model_dirty_ = true;
   std::size_t num_added_ = 0;
   double drift_sum_ = 0.0;
 };

@@ -29,7 +29,7 @@ const std::vector<LinkageKind>& AllLinkageKinds() {
   return kAll;
 }
 
-SimilarityMatrix::SimilarityMatrix(const std::vector<DynamicBitset>& features,
+SimilarityMatrix::SimilarityMatrix(FeatureRows features,
                                    std::size_t num_threads)
     : n_(features.size()), values_(n_ * n_, 0.0f) {
   // Row i owns entries (i, j >= i) and their mirrors (j, i): rows write
@@ -60,7 +60,7 @@ SimilarityMatrix::SimilarityMatrix(const std::vector<DynamicBitset>& features,
 }
 
 SimilarityMatrix::SimilarityMatrix(const SimilarityMatrix& base,
-                                   const std::vector<DynamicBitset>& features,
+                                   FeatureRows features,
                                    std::span<const double> last_row)
     : n_(features.size()), values_(n_ * n_, 0.0f) {
   const std::size_t old_n = base.n_;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "util/bitset.h"
+#include "util/feature_rows.h"
 
 namespace paygo {
 
@@ -50,7 +51,7 @@ class SimilarityMatrix {
   /// O(n^2) fill over a worker pool (0 = hardware_concurrency, 1 = serial);
   /// every entry is written by exactly one row chunk, so the matrix is
   /// bit-identical at any thread count.
-  explicit SimilarityMatrix(const std::vector<DynamicBitset>& features,
+  explicit SimilarityMatrix(FeatureRows features,
                             std::size_t num_threads = 1);
 
   /// Extends \p base (built over features[0..n-1]) to cover \p features
@@ -63,7 +64,7 @@ class SimilarityMatrix {
   /// from-scratch build over \p features. The delta write path's matrix
   /// refresh.
   SimilarityMatrix(const SimilarityMatrix& base,
-                   const std::vector<DynamicBitset>& features,
+                   FeatureRows features,
                    std::span<const double> last_row);
 
   /// s_sim(S_i, S_j); symmetric, At(i, i) == 1 for non-empty vectors.

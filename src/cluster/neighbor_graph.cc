@@ -45,7 +45,7 @@ void FlushStats(const NeighborGraphStats& s) {
   builds->Increment();
 }
 
-Status ValidateInput(const std::vector<DynamicBitset>& features,
+Status ValidateInput(FeatureRows features,
                      const NeighborGraphOptions& options) {
   if (options.edge_tau < 0.0 || options.edge_tau >= 1.0) {
     return Status::InvalidArgument("edge_tau must be in [0, 1)");
@@ -63,8 +63,8 @@ Status ValidateInput(const std::vector<DynamicBitset>& features,
   }
   if (!features.empty()) {
     const std::size_t dim = features.front().size();
-    for (const auto& f : features) {
-      if (f.size() != dim) {
+    for (std::size_t i = 0; i < features.size(); ++i) {
+      if (features[i].size() != dim) {
         return Status::InvalidArgument(
             "all feature vectors must have the same dimensionality");
       }
@@ -197,7 +197,7 @@ void NeighborGraph::PruneTopK(std::size_t top_k, std::size_t num_threads) {
 }
 
 Result<NeighborGraph> NeighborGraph::Build(
-    const std::vector<DynamicBitset>& features,
+    FeatureRows features,
     const NeighborGraphOptions& options) {
   PAYGO_TRACE_SPAN("hac.neighbor_graph");
   PAYGO_RETURN_NOT_OK(ValidateInput(features, options));
@@ -455,7 +455,7 @@ Result<NeighborGraph> NeighborGraph::Build(
 }
 
 NeighborGraph::NeighborGraph(const NeighborGraph& base,
-                             const std::vector<DynamicBitset>& features,
+                             FeatureRows features,
                              std::span<const double> last_row) {
   const std::size_t old_n = base.num_nodes();
   const std::size_t n = features.size();

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "util/bitset.h"
+#include "util/feature_rows.h"
 #include "util/status.h"
 
 namespace paygo {
@@ -111,7 +112,7 @@ class NeighborGraph {
 
   /// Builds the graph over \p features (one bitset per schema, all the
   /// same dimensionality) according to \p options.
-  static Result<NeighborGraph> Build(const std::vector<DynamicBitset>& features,
+  static Result<NeighborGraph> Build(FeatureRows features,
                                      const NeighborGraphOptions& options);
 
   /// Extension constructor, mirroring SimilarityMatrix(base, features,
@@ -123,7 +124,7 @@ class NeighborGraph {
   /// Jaccard's AND/OR popcounts are symmetric, so the new edges are
   /// bitwise the ones a full Build() verifies.
   NeighborGraph(const NeighborGraph& base,
-                const std::vector<DynamicBitset>& features,
+                FeatureRows features,
                 std::span<const double> last_row);
 
   std::size_t num_nodes() const {

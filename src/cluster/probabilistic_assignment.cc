@@ -35,6 +35,21 @@ DomainModel DomainModel::Build(
   return model;
 }
 
+void DomainModel::AppendSchema(
+    std::uint32_t cluster,
+    std::vector<std::pair<std::uint32_t, double>> domains) {
+  const auto id = static_cast<std::uint32_t>(schema_domains_.size());
+  if (cluster == clusters_.size()) {
+    clusters_.emplace_back();
+    domain_schemas_.emplace_back();
+  }
+  clusters_[cluster].push_back(id);
+  for (const auto& [domain, prob] : domains) {
+    domain_schemas_[domain].emplace_back(id, prob);
+  }
+  schema_domains_.push_back(std::move(domains));
+}
+
 double DomainModel::Membership(std::uint32_t schema_id,
                                std::uint32_t domain_id) const {
   for (const auto& [domain, prob] : schema_domains_[schema_id]) {

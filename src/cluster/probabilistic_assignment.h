@@ -88,6 +88,14 @@ class DomainModel {
   /// assigned schemas, 0 for dropped ones under strict semantics).
   double TotalMembership(std::uint32_t schema_id) const;
 
+  /// Appends schema num_schemas() to hard cluster \p cluster (a value of
+  /// num_domains() opens a new singleton cluster) with memberships
+  /// \p domains (ascending domain ids). Equal to Build() over the extended
+  /// clusters and memberships: the newcomer's id is the largest, so every
+  /// per-cluster and per-domain list stays sorted by appending to it.
+  void AppendSchema(std::uint32_t cluster,
+                    std::vector<std::pair<std::uint32_t, double>> domains);
+
   /// Builds the model; exposed via AssignProbabilities().
   static DomainModel Build(
       std::vector<std::vector<std::uint32_t>> clusters,

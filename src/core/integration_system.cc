@@ -6,9 +6,21 @@
 #include <optional>
 #include <sstream>
 
+#include "obs/stats.h"
 #include "obs/trace.h"
 
 namespace paygo {
+
+namespace {
+
+/// Publishes \p drift (a fraction) on the model-health gauge.
+void PublishDrift(double drift) {
+  static Gauge* gauge = StatsRegistry::Global().GetGauge(
+      "paygo.model.unseen_term_drift_ppm");
+  gauge->Set(std::llround(drift * 1e6));
+}
+
+}  // namespace
 
 Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Build(
     SchemaCorpus corpus, SystemOptions options) {
@@ -34,8 +46,10 @@ Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Build(
     }
     sys->vectorizer_ = std::make_shared<const FeatureVectorizer>(
         *sys->lexicon_, options.features);
-    sys->features_ = std::make_shared<const std::vector<DynamicBitset>>(
+    sys->features_ = std::make_shared<const ChunkedVector<DynamicBitset>>(
         sys->vectorizer_->VectorizeCorpus());
+    sys->postings_ = std::make_shared<const FeaturePostings>(
+        FeaturePostings::Build(*sys->features_, sys->lexicon_->dim()));
   }
 
   if (options.sparse_build) {
@@ -85,6 +99,7 @@ Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Build(
   PAYGO_RETURN_NOT_OK(sys->RebuildDerivedState());
 
   sys->sources_.resize(sys->corpus_->size());
+  PublishDrift(0.0);
   return sys;
 }
 
@@ -127,16 +142,18 @@ Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Restore(
         std::move(lexicon_terms), *sys->corpus_, *sys->tokenizer_));
     sys->vectorizer_ = std::make_shared<const FeatureVectorizer>(
         *sys->lexicon_, options.features);
-    sys->features_ = std::make_shared<const std::vector<DynamicBitset>>(
+    sys->features_ = std::make_shared<const ChunkedVector<DynamicBitset>>(
         std::move(features));
   } else {
     sys->lexicon_ = std::make_shared<const Lexicon>(
         Lexicon::Build(*sys->corpus_, *sys->tokenizer_));
     sys->vectorizer_ = std::make_shared<const FeatureVectorizer>(
         *sys->lexicon_, options.features);
-    sys->features_ = std::make_shared<const std::vector<DynamicBitset>>(
+    sys->features_ = std::make_shared<const ChunkedVector<DynamicBitset>>(
         sys->vectorizer_->VectorizeCorpus());
   }
+  sys->postings_ = std::make_shared<const FeaturePostings>(
+      FeaturePostings::Build(*sys->features_, sys->lexicon_->dim()));
   if (options.sparse_build) {
     NeighborGraphOptions graph_options = options.neighbor_graph;
     graph_options.num_threads = options.hac.num_threads;
@@ -199,6 +216,7 @@ Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Restore(
   }
 
   sys->sources_.resize(sys->corpus_->size());
+  PublishDrift(0.0);
   return sys;
 }
 
@@ -217,6 +235,7 @@ std::unique_ptr<IntegrationSystem> IntegrationSystem::Clone() const {
   copy->lexicon_ = lexicon_;
   copy->vectorizer_ = vectorizer_;
   copy->features_ = features_;
+  copy->postings_ = postings_;
   copy->sims_ = sims_;
   copy->graph_ = graph_;
   copy->clustering_ = clustering_;
@@ -225,6 +244,8 @@ std::unique_ptr<IntegrationSystem> IntegrationSystem::Clone() const {
   copy->query_featurizer_ = query_featurizer_;
   copy->mediations_ = mediations_;
   copy->sources_ = sources_;
+  copy->unseen_term_sum_ = unseen_term_sum_;
+  copy->num_added_ = num_added_;
   return copy;
 }
 
@@ -344,10 +365,23 @@ Result<IncrementalAddResult> IntegrationSystem::AddSchema(
   IncrementalAddResult result;
   {
     PAYGO_TRACE_SPAN("system.add_schema.assign");
-    inc.emplace(*tokenizer_, *vectorizer_, *features_, domains_, inc_opts);
-    PAYGO_ASSIGN_OR_RETURN(result, inc->AddSchema(schema));
-    domains_ = inc->model();
-    clustering_.clusters = domains_.clusters();
+    // The clusterer extends copies of the shared feature and postings
+    // stores (chunk and term-list sharing keeps those copies O(#chunks +
+    // dim L)) and appends to the domain model in place; the model comes
+    // back whether or not the add succeeds.
+    inc.emplace(*tokenizer_, *vectorizer_, *features_, *postings_,
+                std::move(domains_), inc_opts);
+    Result<IncrementalAddResult> added = inc->AddSchema(schema);
+    domains_ = inc->TakeModel();
+    if (!added.ok()) return added.status();
+    result = std::move(*added);
+    // Mirror the model's cluster append (clustering_.clusters ==
+    // domains_.clusters() is an invariant of every mutator).
+    if (result.created_new_domain) {
+      clustering_.clusters.push_back({result.schema_id});
+    } else {
+      clustering_.clusters[result.home_cluster].push_back(result.schema_id);
+    }
     clustering_.merges.clear();  // merge history no longer describes it
   }
   {
@@ -358,8 +392,9 @@ Result<IncrementalAddResult> IntegrationSystem::AddSchema(
   }
   {
     PAYGO_TRACE_SPAN("system.add_schema.features");
-    features_ = std::make_shared<const std::vector<DynamicBitset>>(
+    features_ = std::make_shared<const ChunkedVector<DynamicBitset>>(
         inc->TakeFeatures());
+    postings_ = std::make_shared<const FeaturePostings>(inc->TakePostings());
   }
   {
     PAYGO_TRACE_SPAN("system.add_schema.similarity");
@@ -391,6 +426,9 @@ Result<IncrementalAddResult> IntegrationSystem::AddSchema(
     }
   }
   sources_.resize(corpus_->size());
+  unseen_term_sum_ += result.unseen_term_fraction;
+  ++num_added_;
+  PublishDrift(unseen_term_drift());
   if (options_.delta_mutations) {
     // The schema joined result.memberships' domains (or opened a new one);
     // every other domain's member set is untouched.

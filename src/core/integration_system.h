@@ -31,9 +31,11 @@
 #include "integrate/query_engine.h"
 #include "mediate/mediator.h"
 #include "schema/corpus.h"
+#include "schema/feature_postings.h"
 #include "schema/feature_vector.h"
 #include "schema/lexicon.h"
 #include "text/tokenizer.h"
+#include "util/chunked_vector.h"
 #include "util/status.h"
 
 namespace paygo {
@@ -128,15 +130,16 @@ class IntegrationSystem {
 
   /// Structurally shared copy for copy-on-write snapshotting: the
   /// immutable heavyweights — corpus, tokenizer, lexicon, similarity
-  /// index/vectorizer, per-schema feature vectors, similarity matrix,
-  /// classifier, per-domain mediations, attached tuple stores — sit behind
-  /// shared_ptr<const T>, so a clone is O(#components + #domains +
-  /// #schemas) pointer copies, independent of corpus text, matrix, or
-  /// model size. Mutators copy-on-write exactly the components they
-  /// replace (a fresh corpus/feature vector on append, the touched
-  /// domains' mediations, one tuple store), so mutating the clone never
-  /// disturbs concurrent readers of the original: shared components are
-  /// const and never written in place.
+  /// index/vectorizer, per-schema feature vectors and their postings,
+  /// similarity matrix, classifier, per-domain mediations, attached tuple
+  /// stores — sit behind shared_ptr<const T>, so a clone is
+  /// O(#components + #domains + #schemas) pointer copies, independent of
+  /// corpus text, matrix, or model size. Mutators copy-on-write exactly
+  /// the components they replace, and the per-schema stores share their
+  /// chunks even then (an append copies the chunk-pointer table and at
+  /// most one chunk), so mutating the clone never disturbs concurrent
+  /// readers of the original: shared components are const and never
+  /// written where a reader can see it.
   std::unique_ptr<IntegrationSystem> Clone() const;
 
   // --- runtime: keyword queries (Chapter 5) ---
@@ -183,8 +186,9 @@ class IntegrationSystem {
   /// schema joins qualifying domains or opens a new singleton, the
   /// affected domains' mediation is rebuilt, and the classifier is
   /// refreshed. The lexicon stays frozen — the returned
-  /// unseen_term_fraction reports the drift; call Build() afresh when it
-  /// accumulates.
+  /// unseen_term_fraction reports the drift and unseen_term_drift()
+  /// averages it over every add since the last Build; call
+  /// RebuildFromScratch() when it accumulates.
   Result<IncrementalAddResult> AddSchema(
       Schema schema, std::vector<std::string> labels = {});
 
@@ -216,7 +220,9 @@ class IntegrationSystem {
   const Tokenizer& tokenizer() const { return *tokenizer_; }
   const Lexicon& lexicon() const { return *lexicon_; }
   const FeatureVectorizer& vectorizer() const { return *vectorizer_; }
-  const std::vector<DynamicBitset>& features() const { return *features_; }
+  const ChunkedVector<DynamicBitset>& features() const { return *features_; }
+  /// The inverted index of features(): term -> ascending schema ids.
+  const FeaturePostings& postings() const { return *postings_; }
   /// Requires has_similarities() (absent in sparse_build mode).
   const SimilarityMatrix& similarities() const { return *sims_; }
   bool has_similarities() const { return sims_ != nullptr; }
@@ -234,6 +240,17 @@ class IntegrationSystem {
   }
   bool has_mediation() const { return !mediations_.empty(); }
   const SystemOptions& options() const { return options_; }
+
+  /// Average unseen-term fraction of the schemas added since the last
+  /// Build / RebuildFromScratch (0 when none) — the lexicon drift that
+  /// says when a rebuild is due. Copied by Clone(); snapshots do not
+  /// persist it, so a restored system starts from 0. Exported as the gauge
+  /// paygo.model.unseen_term_drift_ppm (millionths).
+  double unseen_term_drift() const {
+    return num_added_ > 0
+               ? unseen_term_sum_ / static_cast<double>(num_added_)
+               : 0.0;
+  }
 
   /// Overrides the worker-thread count used by subsequent rebuild-style
   /// mutations (RebuildFromScratch, ApplyFeedback, AddSchema) on this
@@ -283,7 +300,8 @@ class IntegrationSystem {
   std::shared_ptr<const Tokenizer> tokenizer_;
   std::shared_ptr<const Lexicon> lexicon_;
   std::shared_ptr<const FeatureVectorizer> vectorizer_;
-  std::shared_ptr<const std::vector<DynamicBitset>> features_;
+  std::shared_ptr<const ChunkedVector<DynamicBitset>> features_;
+  std::shared_ptr<const FeaturePostings> postings_;
   std::shared_ptr<const SimilarityMatrix> sims_;  // null in sparse_build mode
   std::shared_ptr<const NeighborGraph> graph_;    // non-null iff sparse_build
   HacResult clustering_;
@@ -292,6 +310,9 @@ class IntegrationSystem {
   std::shared_ptr<const QueryFeaturizer> query_featurizer_;
   std::vector<std::shared_ptr<const DomainMediation>> mediations_;
   std::vector<std::shared_ptr<const DataSource>> sources_;  // by schema id
+  // Running lexicon drift of AddSchema since the last Build.
+  double unseen_term_sum_ = 0.0;
+  std::size_t num_added_ = 0;
 };
 
 }  // namespace paygo

@@ -59,7 +59,7 @@ std::size_t FeedbackStore::impressions(std::uint32_t domain) const {
 }
 
 Result<DomainModel> ReclusterWithFeedback(
-    const std::vector<DynamicBitset>& features, const SimilarityMatrix& sims,
+    FeatureRows features, const SimilarityMatrix& sims,
     HacOptions hac_options, const AssignmentOptions& assignment_options,
     const FeedbackStore& store) {
   hac_options.must_link = store.must_link();

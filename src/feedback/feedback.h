@@ -26,6 +26,7 @@
 #include "cluster/hac.h"
 #include "cluster/linkage.h"
 #include "cluster/probabilistic_assignment.h"
+#include "util/feature_rows.h"
 #include "util/status.h"
 
 namespace paygo {
@@ -73,7 +74,7 @@ class FeedbackStore {
 /// \brief Re-runs Algorithms 2+3 with the store's explicit constraints —
 /// the refinement step of the pay-as-you-go loop.
 Result<DomainModel> ReclusterWithFeedback(
-    const std::vector<DynamicBitset>& features, const SimilarityMatrix& sims,
+    FeatureRows features, const SimilarityMatrix& sims,
     HacOptions hac_options, const AssignmentOptions& assignment_options,
     const FeedbackStore& store);
 

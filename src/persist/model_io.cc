@@ -7,6 +7,7 @@
 
 #include "schema/corpus_io.h"
 #include "util/bitset.h"
+#include "util/feature_rows.h"
 #include "util/string_util.h"
 
 namespace paygo {
@@ -223,7 +224,7 @@ Result<std::vector<std::string>> ParseLexiconSection(std::string_view text) {
 /// The v2 features section: per-schema sparse set-bit index lists.
 /// "f <schema> <count> j1 j2 ..." — bitsets are sparse (a schema's terms
 /// plus similar lexicon terms), so indices beat raw words.
-std::string SerializeFeaturesSection(const std::vector<DynamicBitset>& features,
+std::string SerializeFeaturesSection(FeatureRows features,
                                      std::size_t dim) {
   std::ostringstream os;
   os << "counts " << features.size() << " " << dim << "\n";

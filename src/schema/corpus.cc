@@ -9,34 +9,36 @@ namespace paygo {
 std::size_t SchemaCorpus::Add(Schema schema, std::vector<std::string> labels) {
   std::sort(labels.begin(), labels.end());
   labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
-  schemas_.push_back(std::move(schema));
-  labels_.push_back(std::move(labels));
-  return schemas_.size() - 1;
+  entries_.push_back({std::move(schema), std::move(labels)});
+  return entries_.size() - 1;
 }
 
 std::vector<std::string> SchemaCorpus::AllLabels() const {
   std::set<std::string> all;
-  for (const auto& ls : labels_) all.insert(ls.begin(), ls.end());
+  for (std::size_t i = 0; i < size(); ++i) {
+    all.insert(labels(i).begin(), labels(i).end());
+  }
   return std::vector<std::string>(all.begin(), all.end());
 }
 
 CorpusStats SchemaCorpus::ComputeStats(const Tokenizer& tokenizer) const {
   CorpusStats stats;
-  stats.num_schemas = schemas_.size();
-  if (schemas_.empty()) return stats;
+  stats.num_schemas = size();
+  if (empty()) return stats;
 
   std::size_t total_terms = 0;
-  for (const Schema& s : schemas_) {
-    const std::size_t n = tokenizer.TokenizeAll(s.attributes).size();
+  for (std::size_t i = 0; i < size(); ++i) {
+    const std::size_t n = tokenizer.TokenizeAll(schema(i).attributes).size();
     stats.max_terms_per_schema = std::max(stats.max_terms_per_schema, n);
     total_terms += n;
   }
   stats.avg_terms_per_schema =
-      static_cast<double>(total_terms) / static_cast<double>(schemas_.size());
+      static_cast<double>(total_terms) / static_cast<double>(size());
 
   std::map<std::string, std::size_t> per_label;
   std::size_t total_labels = 0;
-  for (const auto& ls : labels_) {
+  for (std::size_t i = 0; i < size(); ++i) {
+    const std::vector<std::string>& ls = labels(i);
     stats.max_labels_per_schema = std::max(stats.max_labels_per_schema,
                                            ls.size());
     total_labels += ls.size();
@@ -44,7 +46,7 @@ CorpusStats SchemaCorpus::ComputeStats(const Tokenizer& tokenizer) const {
   }
   stats.num_labels = per_label.size();
   stats.avg_labels_per_schema =
-      static_cast<double>(total_labels) / static_cast<double>(schemas_.size());
+      static_cast<double>(total_labels) / static_cast<double>(size());
   if (!per_label.empty()) {
     std::size_t total_schemas_in_labels = 0;
     for (const auto& [label, count] : per_label) {

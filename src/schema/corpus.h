@@ -14,6 +14,7 @@
 
 #include "schema/schema.h"
 #include "text/tokenizer.h"
+#include "util/chunked_vector.h"
 
 namespace paygo {
 
@@ -29,7 +30,17 @@ struct CorpusStats {
   double avg_schemas_per_label = 0.0;
 };
 
+/// \brief One corpus entry: a schema and its ground-truth labels.
+struct CorpusEntry {
+  Schema schema;
+  std::vector<std::string> labels;
+};
+
 /// \brief An ordered collection of schemas with optional evaluation labels.
+///
+/// Entries sit in a ChunkedVector, so a copy shares every chunk and an
+/// Add to a copy copies at most one chunk: a live system appends a schema
+/// to its corpus without copying the corpus.
 class SchemaCorpus {
  public:
   SchemaCorpus() = default;
@@ -40,17 +51,18 @@ class SchemaCorpus {
   /// Returns the schema's index.
   std::size_t Add(Schema schema, std::vector<std::string> labels = {});
 
-  std::size_t size() const { return schemas_.size(); }
-  bool empty() const { return schemas_.empty(); }
+  std::size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
-  const Schema& schema(std::size_t i) const { return schemas_[i]; }
-  const std::vector<Schema>& schemas() const { return schemas_; }
+  const Schema& schema(std::size_t i) const { return entries_[i].schema; }
   /// Ground-truth labels B(S_i) of schema \p i (evaluation only).
   const std::vector<std::string>& labels(std::size_t i) const {
-    return labels_[i];
+    return entries_[i].labels;
   }
+  /// The chunked store itself (chunk-sharing checks).
+  const ChunkedVector<CorpusEntry>& entries() const { return entries_; }
 
   /// All distinct labels across the corpus, sorted.
   std::vector<std::string> AllLabels() const;
@@ -65,8 +77,7 @@ class SchemaCorpus {
 
  private:
   std::string name_;
-  std::vector<Schema> schemas_;
-  std::vector<std::vector<std::string>> labels_;
+  ChunkedVector<CorpusEntry> entries_;
 };
 
 }  // namespace paygo

@@ -28,6 +28,7 @@
 #include "obs/trace.h"
 #include "persist/model_io.h"
 #include "serve/paygo_server.h"
+#include "synth/ddh_generator.h"
 
 namespace paygo {
 namespace {
@@ -255,6 +256,81 @@ TEST(CloneAliasingTest, ClassifierRowsSharedAcrossAddAndFeedback) {
   EXPECT_EQ(SerializeConditionals(original.classifier().conditionals()),
             serialized_before);
   EXPECT_EQ(RowAddresses(original.classifier()), original_rows);
+}
+
+/// Checks that \p child (\p parent plus one appended element) shares every
+/// full chunk of \p parent and copied at most one chunk.
+template <typename T>
+void ExpectChunksShared(const ChunkedVector<T>& parent,
+                        const ChunkedVector<T>& child, const char* store) {
+  constexpr std::size_t kChunk = ChunkedVector<T>::kChunkSize;
+  ASSERT_EQ(child.size(), parent.size() + 1) << store;
+  ASSERT_GE(parent.size() / kChunk, 2u) << store << ": too few full chunks";
+  std::size_t copied = 0;
+  for (std::size_t c = 0; c < parent.num_chunks(); ++c) {
+    if (c < parent.size() / kChunk) {
+      EXPECT_EQ(child.ChunkAddress(c), parent.ChunkAddress(c))
+          << store << ": full chunk " << c << " not shared";
+    }
+    if (child.ChunkAddress(c) != parent.ChunkAddress(c)) ++copied;
+  }
+  EXPECT_LE(copied, 1u) << store;
+}
+
+TEST(CloneAliasingTest, ChunksAndPostingsSharedAcrossAdd) {
+  // 150 schemas: two full chunks and a partial tail in every per-schema
+  // store, so the add must copy exactly the tail.
+  const SchemaCorpus pool = MakeDdhCorpus({.num_schemas = 151, .seed = 31});
+  SchemaCorpus base("ddh-base");
+  for (std::size_t i = 0; i < 150; ++i) {
+    base.Add(pool.schema(i), pool.labels(i));
+  }
+  auto built = IntegrationSystem::Build(std::move(base));
+  ASSERT_TRUE(built.ok()) << built.status();
+  const IntegrationSystem& original = **built;
+  const auto bytes_before = SerializeSnapshot(original);
+  ASSERT_TRUE(bytes_before.ok()) << bytes_before.status();
+
+  auto clone = original.Clone();
+  ASSERT_TRUE(clone->AddSchema(pool.schema(150), pool.labels(150)).ok());
+  ExpectChunksShared(original.corpus().entries(), clone->corpus().entries(),
+                     "corpus");
+  ExpectChunksShared(original.features(), clone->features(), "features");
+
+  // Only the newcomer's terms got new posting lists.
+  const DynamicBitset& f = clone->features().back();
+  ASSERT_EQ(clone->postings().num_schemas(),
+            original.postings().num_schemas() + 1);
+  std::size_t touched = 0;
+  for (std::size_t t = 0; t < f.size(); ++t) {
+    if (f.Test(t)) {
+      ++touched;
+      EXPECT_NE(clone->postings().ListAddress(t),
+                original.postings().ListAddress(t))
+          << "term " << t;
+    } else {
+      EXPECT_EQ(clone->postings().ListAddress(t),
+                original.postings().ListAddress(t))
+          << "untouched term " << t << " not shared";
+    }
+  }
+  EXPECT_GT(touched, 0u);
+
+  // A sibling clone appending to the same shared tail must not disturb
+  // the first clone's element there.
+  const DynamicBitset f_before = f;
+  auto sibling = original.Clone();
+  ASSERT_TRUE(sibling->AddSchema(pool.schema(0), pool.labels(0)).ok());
+  EXPECT_EQ(clone->corpus().schema(150).source_name,
+            pool.schema(150).source_name);
+  EXPECT_TRUE(clone->features()[150] == f_before);
+  EXPECT_EQ(sibling->corpus().schema(150).source_name,
+            pool.schema(0).source_name);
+
+  // The parent still serializes to the same bytes.
+  const auto bytes_after = SerializeSnapshot(original);
+  ASSERT_TRUE(bytes_after.ok()) << bytes_after.status();
+  EXPECT_EQ(*bytes_after, *bytes_before);
 }
 
 TEST(CloneAliasingTest, ReadersOnRetainedSnapshotWhileWriterMutates) {

@@ -10,8 +10,9 @@
 /// shortcuts is exact, not approximate:
 ///   * the similarity matrix / neighbor graph extend-constructors copy the
 ///     old block or edges and add only the new schema's row — the Jaccard
-///     row the incremental assignment already computed, which is the same
-///     double because Jaccard's AND/OR popcounts are symmetric;
+///     row the incremental assignment already read off the feature
+///     postings, which is the same double as the scan because it divides
+///     the same two popcount integers;
 ///   * Mediator::BuildForDomain depends only on the domain's own members,
 ///     so untouched domains' mediations can be shared verbatim;
 ///   * the factored classifier's per-domain conditionals depend only on
@@ -19,10 +20,13 @@
 ///     domains through the same canonical row precompute as Build() and
 ///     shares every other domain's row.
 /// Any drift here — a forgotten affected domain, a reordered float
-/// accumulation — fails this test immediately.
+/// accumulation — fails this test immediately. The chunk-boundary cases
+/// start a few schemas short of a ChunkedVector chunk boundary, so their
+/// adds copy a shared tail chunk and then open a fresh one.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -36,6 +40,10 @@ namespace {
 
 constexpr std::size_t kBaseSchemas = 100;
 constexpr std::size_t kExtraSchemas = 12;
+// The chunk-boundary pool's base stops 4 schemas short of the second
+// chunk boundary, so its adds fill one chunk and open the next.
+constexpr std::size_t kBoundaryBaseSchemas =
+    2 * ChunkedVector<DynamicBitset>::kChunkSize - 4;
 
 /// One generated pool; the first kBaseSchemas seed the system, the rest
 /// stream in through AddSchema.
@@ -45,10 +53,18 @@ const SchemaCorpus& Pool() {
   return pool;
 }
 
-SchemaCorpus BaseCorpus() {
+/// The same shape whose adds cross a chunk boundary of the corpus,
+/// feature and postings stores.
+const SchemaCorpus& BoundaryPool() {
+  static const SchemaCorpus pool = MakeDdhCorpus(
+      {.num_schemas = kBoundaryBaseSchemas + kExtraSchemas, .seed = 29});
+  return pool;
+}
+
+SchemaCorpus BaseCorpus(const SchemaCorpus& pool, std::size_t base) {
   SchemaCorpus corpus("ddh-base");
-  for (std::size_t i = 0; i < kBaseSchemas; ++i) {
-    corpus.Add(Pool().schema(i), Pool().labels(i));
+  for (std::size_t i = 0; i < base; ++i) {
+    corpus.Add(pool.schema(i), pool.labels(i));
   }
   return corpus;
 }
@@ -76,6 +92,16 @@ void ExpectBitwiseEqual(const IntegrationSystem& a,
   ASSERT_EQ(a.features().size(), b.features().size());
   for (std::size_t i = 0; i < a.features().size(); ++i) {
     EXPECT_TRUE(a.features()[i] == b.features()[i]) << "feature row " << i;
+  }
+  // The incrementally extended postings equal a fresh index.
+  const FeaturePostings fresh =
+      FeaturePostings::Build(a.features(), a.lexicon().dim());
+  ASSERT_EQ(a.postings().num_schemas(), fresh.num_schemas());
+  for (std::size_t t = 0; t < fresh.dim(); ++t) {
+    const auto pa = a.postings().Postings(t);
+    const auto pf = fresh.Postings(t);
+    EXPECT_TRUE(std::equal(pa.begin(), pa.end(), pf.begin(), pf.end()))
+        << "postings of term " << t;
   }
 
   // Similarity matrix (dense build) or neighbor graph (sparse_build): the
@@ -157,11 +183,14 @@ void ExpectBitwiseEqual(const IntegrationSystem& a,
 
 /// Applies one randomized but reproducible interleaving of schema adds and
 /// implicit click feedback to a delta and a full-path clone of the same
-/// built system, comparing them bitwise along the way.
-void RunRandomizedMutations(std::size_t width, bool sparse_build) {
+/// built system (the first \p base schemas of \p pool), comparing them
+/// bitwise along the way.
+void RunRandomizedMutations(std::size_t width, bool sparse_build,
+                            const SchemaCorpus& pool = Pool(),
+                            std::size_t base = kBaseSchemas) {
   SystemOptions options;
   options.sparse_build = sparse_build;
-  auto built = IntegrationSystem::Build(BaseCorpus(), options);
+  auto built = IntegrationSystem::Build(BaseCorpus(pool, base), options);
   ASSERT_TRUE(built.ok()) << built.status();
 
   // Two clones of the SAME built system, so both start from bit-identical
@@ -174,9 +203,9 @@ void RunRandomizedMutations(std::size_t width, bool sparse_build) {
   scratch->set_num_threads(width);
 
   std::mt19937 rng(0x5eedu + static_cast<unsigned>(width));
-  std::size_t next_extra = kBaseSchemas;
+  std::size_t next_extra = base;
   int checked = 0;
-  while (next_extra < Pool().size()) {
+  while (next_extra < pool.size()) {
     if (rng() % 3 == 0) {
       FeedbackStore store;
       const std::uint32_t d =
@@ -187,9 +216,9 @@ void RunRandomizedMutations(std::size_t width, bool sparse_build) {
       ASSERT_TRUE(scratch->ApplyFeedback(store).ok());
     } else {
       auto ra =
-          delta->AddSchema(Pool().schema(next_extra), Pool().labels(next_extra));
-      auto rb = scratch->AddSchema(Pool().schema(next_extra),
-                                   Pool().labels(next_extra));
+          delta->AddSchema(pool.schema(next_extra), pool.labels(next_extra));
+      auto rb = scratch->AddSchema(pool.schema(next_extra),
+                                   pool.labels(next_extra));
       ASSERT_TRUE(ra.ok()) << ra.status();
       ASSERT_TRUE(rb.ok()) << rb.status();
       EXPECT_EQ(ra->memberships, rb->memberships);
@@ -197,7 +226,7 @@ void RunRandomizedMutations(std::size_t width, bool sparse_build) {
     }
     // Full bitwise sweep every few mutations (it is O(n^2) in the sims),
     // and always after the final one.
-    if (++checked % 4 == 0 || next_extra == Pool().size()) {
+    if (++checked % 4 == 0 || next_extra == pool.size()) {
       ExpectBitwiseEqual(*delta, *scratch);
       if (::testing::Test::HasFailure()) break;
     }
@@ -213,6 +242,17 @@ TEST_P(DeltaDifferentialTest, RandomizedMutationsMatchScratchBitwise) {
 
 TEST_P(DeltaDifferentialTest, SparseBuildMutationsMatchScratchBitwise) {
   RunRandomizedMutations(GetParam(), /*sparse_build=*/true);
+}
+
+TEST_P(DeltaDifferentialTest, ChunkBoundaryMutationsMatchScratchBitwise) {
+  RunRandomizedMutations(GetParam(), /*sparse_build=*/false, BoundaryPool(),
+                         kBoundaryBaseSchemas);
+}
+
+TEST_P(DeltaDifferentialTest,
+       SparseChunkBoundaryMutationsMatchScratchBitwise) {
+  RunRandomizedMutations(GetParam(), /*sparse_build=*/true, BoundaryPool(),
+                         kBoundaryBaseSchemas);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadWidths, DeltaDifferentialTest,

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "obs/stats.h"
+#include "persist/model_io.h"
 #include "synth/tuple_generator.h"
 
 namespace paygo {
@@ -181,6 +185,44 @@ TEST(IntegrationSystemTest, DescribeDomainMentionsMembers) {
   const std::string desc = (*sys)->DescribeDomain(travel);
   EXPECT_NE(desc.find("expedia"), std::string::npos);
   EXPECT_NE(desc.find("mediated schema"), std::string::npos);
+}
+
+TEST(IntegrationSystemTest, UnseenTermDriftAccumulatesAcrossAdds) {
+  auto built = IntegrationSystem::Build(SmallCorpus(), SmallOptions());
+  ASSERT_TRUE(built.ok()) << built.status();
+  IntegrationSystem& sys = **built;
+  const Gauge* gauge = StatsRegistry::Global().GetGauge(
+      "paygo.model.unseen_term_drift_ppm");
+  EXPECT_EQ(sys.unseen_term_drift(), 0.0);
+  EXPECT_EQ(gauge->value(), 0);
+
+  // Three adds: fully seen, all unseen, half unseen.
+  std::vector<double> fractions;
+  for (const Schema& schema :
+       {Schema("travelocity", {"departure airport", "airline"}),
+        Schema("alien", {"zzzqqq wwwvvv", "kkkjjj"}),
+        Schema("mixed", {"make model", "qqqzzz xxxyyy"})}) {
+    const auto added = sys.AddSchema(schema);
+    ASSERT_TRUE(added.ok()) << added.status();
+    fractions.push_back(added->unseen_term_fraction);
+  }
+  EXPECT_EQ(fractions[0], 0.0);
+  EXPECT_EQ(fractions[1], 1.0);
+  EXPECT_EQ(fractions[2], 0.5);
+  const double expected = (fractions[0] + fractions[1] + fractions[2]) / 3.0;
+  EXPECT_EQ(sys.unseen_term_drift(), expected);
+  EXPECT_EQ(gauge->value(), std::llround(expected * 1e6));
+
+  // Clone carries it; snapshots do not persist it; a rebuild resets it.
+  EXPECT_EQ(sys.Clone()->unseen_term_drift(), expected);
+  const auto bytes = SerializeSnapshot(sys);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  const auto restored = ParseSnapshot(*bytes, SmallOptions());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ((*restored)->unseen_term_drift(), 0.0);
+  ASSERT_TRUE(sys.RebuildFromScratch().ok());
+  EXPECT_EQ(sys.unseen_term_drift(), 0.0);
+  EXPECT_EQ(gauge->value(), 0);
 }
 
 }  // namespace

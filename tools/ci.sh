@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
 # Local CI gate: the tier-1 suite plus a ThreadSanitizer pass over the
-# serving runtime's concurrency tests.
+# serving runtime's concurrency tests and an ASan + UBSan pass over the
+# tests of the snapshot-shared stores.
 #
-#   tools/ci.sh            # full run (tier-1 + TSan serve tests)
-#   tools/ci.sh --no-tsan  # tier-1 only
+#   tools/ci.sh            # full run (tier-1 + TSan + ASan/UBSan lanes)
+#   tools/ci.sh --no-tsan  # tier-1 only (no sanitizer lanes)
 #
-# Build trees: ./build (plain) and ./build-tsan (PAYGO_SANITIZE=thread).
-# Both are incremental across runs.
+# Build trees: ./build (plain), ./build-tsan (PAYGO_SANITIZE=thread) and
+# ./build-asan (PAYGO_SANITIZE=address,undefined). All are incremental
+# across runs.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-RUN_TSAN=1
-[[ "${1:-}" == "--no-tsan" ]] && RUN_TSAN=0
+RUN_SANITIZERS=1
+[[ "${1:-}" == "--no-tsan" ]] && RUN_SANITIZERS=0
 
 JOBS=$(nproc 2>/dev/null || echo 2)
 
@@ -99,6 +101,15 @@ echo "==> smoke: perf_write_path --smoke --check (O(delta) classifier refresh)"
 ./build/bench/perf_write_path --smoke --check --json-out "" \
   > "$SMOKE_DIR/write-path.json"
 echo "    delta write path within the O(delta) refresh budget"
+
+echo "==> smoke: perf_write_path --smoke --sparse --check (O(delta) adds on the web shape)"
+# The many-domains lane under sparse_build at n and 4n: --check fails the
+# run unless the postings entries an add reads do not grow with n
+# (paygo.incremental.postings_visited) and each add copies at most one
+# chunk of the corpus and feature stores. Counts, not timings.
+./build/bench/perf_write_path --smoke --sparse --check --json-out "" \
+  > "$SMOKE_DIR/write-path-sparse.json"
+echo "    sparse write path reads O(delta) postings and shares chunks"
 
 echo "==> smoke: perf_classifier --smoke --check (batch sweep >= 2x, p99 budget)"
 # The batch-classification regression gate: batch-64 single-thread
@@ -305,7 +316,7 @@ if [[ "$FLEET_RC" != 0 ]]; then
 fi
 echo "    fleet shut down cleanly"
 
-if [[ "$RUN_TSAN" == 1 ]]; then
+if [[ "$RUN_SANITIZERS" == 1 ]]; then
   echo "==> tsan: configure + build serve + admin + trace + parallel tests (PAYGO_SANITIZE=thread)"
   cmake -B build-tsan -S . -DPAYGO_SANITIZE=thread >/dev/null
   cmake --build build-tsan --target serve_test serve_concurrency_test trace_test \
@@ -348,6 +359,19 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   echo "==> tsan: fuzz_robustness_test similarity-index oracle case (small)"
   PAYGO_DETERMINISM_SMALL=1 ./build-tsan/tests/fuzz_robustness_test \
     --gtest_filter='FuzzTest.SimilarityIndexMatchesExhaustiveOracleOnRandomLexicons'
+
+  echo "==> asan+ubsan: configure + build the snapshot-shared-store tests (PAYGO_SANITIZE=address,undefined)"
+  # Snapshots share corpus/feature chunks and posting lists; these tests
+  # append to, copy, serialize and tear down those stores across clones.
+  ASAN_TESTS="clone_aliasing_test delta_differential_test incremental_test \
+    serve_concurrency_test model_io_roundtrip_test shard_replication_test"
+  cmake -B build-asan -S . -DPAYGO_SANITIZE=address,undefined >/dev/null
+  # shellcheck disable=SC2086
+  cmake --build build-asan --target $ASAN_TESTS -j "$JOBS"
+  for TEST in $ASAN_TESTS; do
+    echo "==> asan+ubsan: $TEST"
+    "./build-asan/tests/$TEST"
+  done
 fi
 
 echo "==> ci: all green"
